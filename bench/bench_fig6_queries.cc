@@ -13,10 +13,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <vector>
 
 #include "bench/bench_json.h"
 #include "src/common/thread_pool.h"
 #include "src/common/timer.h"
+#include "src/dist/variable_pool.h"
 #include "src/engine/query.h"
 #include "src/workload/queries.h"
 
@@ -525,6 +527,49 @@ void BatchDrawAblation() {
   AppendBenchRecords(BenchJsonPath(), records);
 }
 
+/// Draw-kernel ablation: VariablePool::GenerateBatch draws per second
+/// for Poisson(6) and Exponential(1), measured back to back in this
+/// process. bench-smoke asserts a floor on their ratio, a like-for-like
+/// gate on the Poisson quantile kernel that runner speed cancels out of.
+void DrawKernelRates() {
+  constexpr uint64_t kBatch = 4096;
+  const double budget_s = SmokeMode() ? 0.2 : 1.0;
+  struct Kernel {
+    const char* query;
+    const char* family;
+    std::vector<double> params;
+  };
+  const Kernel kernels[] = {{"poisson_6", "Poisson", {6.0}},
+                            {"exponential_1", "Exponential", {1.0}}};
+  pip::VariablePool pool(20261017);
+  std::printf("=== Draw kernels: GenerateBatch, %llu per call, 1 thread ===\n",
+              static_cast<unsigned long long>(kBatch));
+  std::vector<BenchRecord> records;
+  std::vector<double> out;
+  for (const Kernel& k : kernels) {
+    const uint64_t var = pool.Create(k.family, k.params).value().var_id;
+    uint64_t drawn = 0;
+    pip::WallTimer timer;
+    while (timer.Seconds() < budget_s) {
+      PIP_CHECK(pool.GenerateBatch(var, drawn, kBatch, 0, &out).ok());
+      drawn += kBatch;
+    }
+    const double wall = timer.Seconds();
+    BenchRecord r;
+    r.bench = "dist_draw_kernels";
+    r.query = k.query;
+    r.threads = 1;
+    r.wall_seconds = wall;
+    r.samples = static_cast<double>(drawn);
+    r.samples_per_sec = static_cast<double>(drawn) / wall;
+    records.push_back(r);
+    std::printf("%14s %14.0f draws/s\n", k.query, r.samples_per_sec);
+  }
+  std::printf("poisson_6 / exponential_1: %.2fx\n\n",
+              records[0].samples_per_sec / records[1].samples_per_sec);
+  AppendBenchRecords(BenchJsonPath(), records);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -533,6 +578,7 @@ int main(int argc, char** argv) {
   AnalyzeRowSweep();
   NestedShapeSweep();
   BatchDrawAblation();
+  DrawKernelRates();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

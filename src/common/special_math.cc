@@ -1,5 +1,8 @@
 #include "src/common/special_math.h"
 
+#include <math.h>
+
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -107,7 +110,12 @@ double NormalQuantile(double p) {
   return M_SQRT2 * ErfInv(2.0 * p - 1.0);
 }
 
-double LogGamma(double x) { return std::lgamma(x); }
+// lgamma_r, not std::lgamma: the latter also stores the sign of Gamma(x)
+// in the global `signgam`, a data race when threads sample concurrently.
+double LogGamma(double x) {
+  int sign;
+  return ::lgamma_r(x, &sign);
+}
 
 namespace {
 
@@ -292,10 +300,49 @@ double InverseRegularizedBeta(double a, double b, double p) {
   return x;
 }
 
+PoissonLadder::PoissonLadder(double lambda)
+    : lambda_(lambda),
+      p0_(lambda < kPoissonLadderMaxLambda ? std::exp(-lambda) : 0.0) {}
+
+PoissonLadder::Rung PoissonLadder::Climb(double q, double k_max) const {
+  double k = 0.0;
+  double pmf = p0_;
+  double cdf = std::min(pmf, 1.0);
+  while (cdf < q && k < k_max) {
+    k += 1.0;
+    pmf *= lambda_ / k;
+    const double next = cdf + pmf;
+    // Saturated: every later rung is exactly 1.0 too.
+    if (next == cdf || next >= 1.0) return {k, 1.0};
+    cdf = next;
+  }
+  return {k, cdf};
+}
+
+double PoissonLadder::Cdf(double x) const {
+  if (!(x >= 0.0)) return 0.0;
+  if (lambda_ >= kPoissonLadderMaxLambda) {
+    return x == kInf ? 1.0 : RegularizedGammaQ(std::floor(x) + 1.0, lambda_);
+  }
+  return Climb(1.0, std::floor(x)).cdf;
+}
+
+double PoissonLadder::Quantile(double q) const {
+  if (q <= 0.0) return 0.0;
+  if (q >= 1.0) return kInf;
+  if (lambda_ < kPoissonLadderMaxLambda) return Climb(q, kInf).k;
+  // A normal-approximation starting point followed by a short lattice
+  // walk keeps large rates O(1) expected.
+  double guess =
+      std::floor(lambda_ + std::sqrt(lambda_) * NormalQuantile(q) + 0.5);
+  double k = std::max(0.0, guess);
+  while (Cdf(k) < q) k += 1.0;
+  while (k > 0.0 && Cdf(k - 1.0) >= q) k -= 1.0;
+  return k;
+}
+
 double PoissonCdf(double lambda, double k) {
-  if (k < 0.0) return 0.0;
-  double kf = std::floor(k);
-  return RegularizedGammaQ(kf + 1.0, lambda);
+  return PoissonLadder(lambda).Cdf(k);
 }
 
 double PoissonLogPmf(double lambda, long long k) {

@@ -8,7 +8,6 @@
 /// (zero-mass points omitted), which unlocks possible-world enumeration.
 
 #include <algorithm>
-#include <limits>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -19,8 +18,6 @@
 namespace pip {
 namespace dist_internal {
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Batch word fill for univariate kernels: u[s] gets the first uniform of
 /// sample s's component-0 stream, matching the scalar path's per-sample
@@ -55,14 +52,14 @@ class PoissonDist : public Distribution {
   Status GenerateJoint(const std::vector<double>& p, const SampleContext& ctx,
                        std::vector<double>* out) const override {
     RandomStream stream = ctx.StreamFor(0);
-    out->assign(1, Quantile(p[0], stream.NextUniform()));
+    out->assign(1, PoissonLadder(p[0]).Quantile(stream.NextUniform()));
     return Status::OK();
   }
   Status GenerateBatch(const std::vector<double>& p, const SampleContext& ctx,
                        uint64_t n, double* out) const override {
     FillFirstUniforms(ctx, n, out);
-    const double lambda = p[0];
-    for (uint64_t s = 0; s < n; ++s) out[s] = Quantile(lambda, out[s]);
+    const PoissonLadder ladder(p[0]);
+    for (uint64_t s = 0; s < n; ++s) out[s] = ladder.Quantile(out[s]);
     return Status::OK();
   }
   StatusOr<double> Pdf(const std::vector<double>& p, uint32_t,
@@ -78,7 +75,7 @@ class PoissonDist : public Distribution {
   }
   StatusOr<double> InverseCdf(const std::vector<double>& p, uint32_t,
                               double q) const override {
-    return Quantile(p[0], q);
+    return PoissonLadder(p[0]).Quantile(q);
   }
   StatusOr<double> Mean(const std::vector<double>& p, uint32_t) const override {
     return p[0];
@@ -89,21 +86,6 @@ class PoissonDist : public Distribution {
   }
   Interval Support(const std::vector<double>&, uint32_t) const override {
     return Interval::AtLeast(0.0);
-  }
-
- private:
-  /// Smallest k with CDF(k) >= q. A normal-approximation starting point
-  /// followed by a short lattice walk keeps this O(1) expected even for
-  /// large lambda.
-  static double Quantile(double lambda, double q) {
-    if (q <= 0.0) return 0.0;
-    if (q >= 1.0) return kInf;
-    double guess =
-        std::floor(lambda + std::sqrt(lambda) * NormalQuantile(q) + 0.5);
-    double k = std::max(0.0, guess);
-    while (PoissonCdf(lambda, k) < q) k += 1.0;
-    while (k > 0.0 && PoissonCdf(lambda, k - 1.0) >= q) k -= 1.0;
-    return k;
   }
 };
 

@@ -136,13 +136,29 @@ void Server::AcceptLoop() {
       break;  // Listener shut down (or unrecoverable accept error).
     }
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    if (stopping_.load(std::memory_order_acquire)) {
-      ::close(fd);
-      break;
+    std::vector<std::thread> finished;
+    {
+      std::lock_guard<std::mutex> lock(conn_mu_);
+      if (stopping_.load(std::memory_order_acquire)) {
+        ::close(fd);
+        break;
+      }
+      for (std::thread::id id : finished_) {
+        auto it = conn_threads_.find(id);
+        finished.push_back(std::move(it->second));
+        conn_threads_.erase(it);
+      }
+      finished_.clear();
+      live_fds_.insert(fd);
+      // The new thread cannot report itself finished before it is in the
+      // map: that report takes conn_mu_, held here until the insert.
+      std::thread conn([this, fd] { ServeConnection(fd); });
+      const std::thread::id id = conn.get_id();
+      conn_threads_.emplace(id, std::move(conn));
     }
-    live_fds_.insert(fd);
-    conn_threads_.emplace_back([this, fd] { ServeConnection(fd); });
+    // Their last step released conn_mu_, so these joins do not wait on
+    // any work.
+    for (std::thread& t : finished) t.join();
   }
 }
 
@@ -198,6 +214,7 @@ void Server::ServeConnection(int fd) {
   ::close(fd);
   std::lock_guard<std::mutex> lock(conn_mu_);
   live_fds_.erase(fd);
+  finished_.push_back(std::this_thread::get_id());
 }
 
 void Server::Stop() {
@@ -217,16 +234,14 @@ void Server::Stop() {
     std::lock_guard<std::mutex> lock(conn_mu_);
     for (int fd : live_fds_) ::shutdown(fd, SHUT_RDWR);
   }
-  // No new threads can appear now (accept loop is dead), so the vector
-  // is stable enough to join without holding the lock.
-  std::vector<std::thread> threads;
+  // No new threads can appear now (accept loop is dead), so the map is
+  // stable enough to join without holding the lock.
+  std::unordered_map<std::thread::id, std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
     threads.swap(conn_threads_);
   }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
+  for (auto& [id, t] : threads) t.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
 }

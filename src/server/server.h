@@ -15,9 +15,11 @@
 /// per-response (see wire.h).
 ///
 /// Lifecycle: Start() binds (port 0 picks an ephemeral port, readable
-/// via port()) and returns once the accept loop is running; Stop() shuts
-/// down the listener and every live connection and joins all threads.
-/// The destructor calls Stop().
+/// via port()) and returns once the accept loop is running; each accept
+/// first joins the threads of connections that have closed since the
+/// last one, so connection churn holds no stacks; Stop() shuts down the
+/// listener and every live connection and joins all threads. The
+/// destructor calls Stop().
 
 #ifndef PIP_SERVER_SERVER_H_
 #define PIP_SERVER_SERVER_H_
@@ -27,6 +29,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -83,7 +86,10 @@ class Server {
   std::thread accept_thread_;
 
   std::mutex conn_mu_;
-  std::vector<std::thread> conn_threads_;
+  /// Every connection thread not yet joined, live or finished.
+  std::unordered_map<std::thread::id, std::thread> conn_threads_;
+  /// Connection threads that have returned; the next accept joins them.
+  std::vector<std::thread::id> finished_;
   std::unordered_set<int> live_fds_;
 };
 

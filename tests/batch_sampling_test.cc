@@ -53,7 +53,8 @@ std::vector<BuiltinCase> AllBuiltins() {
       {"Tukey", {0.14}},
       {"UniformSum", {3.0}},
       {"MVNormal", {2.0, 0.0, 0.0, 1.0, 0.5, 0.5, 1.0}},
-      {"Poisson", {3.5}},
+      {"Poisson", {3.5}},    // CDF ladder.
+      {"Poisson", {100.0}},  // Incomplete gamma (kPoissonLadderMaxLambda).
       {"Bernoulli", {0.3}},
       {"Categorical", {0.5, 0.3, 0.2}},
       {"DiscreteUniform", {1.0, 6.0}},

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include "src/common/running_stats.h"
+#include "src/common/special_math.h"
 #include "src/dist/distribution.h"
 #include "src/dist/variable_pool.h"
 
@@ -236,6 +240,76 @@ TEST(PoissonDistTest, PmfZeroOffLattice) {
   const Distribution* d = Lookup("Poisson");
   EXPECT_EQ(d->Pdf({3.0}, 0, 2.5).value(), 0.0);
   EXPECT_EQ(d->Pdf({3.0}, 0, -1.0).value(), 0.0);
+}
+
+/// Poisson rates on both sides of kPoissonLadderMaxLambda, where the
+/// kernel switches from the CDF ladder to the incomplete gamma.
+std::vector<double> PoissonRates() {
+  return {0.05, 1.0, 6.0, 12.0, std::nextafter(kPoissonLadderMaxLambda, 0.0),
+          std::nextafter(kPoissonLadderMaxLambda, 1e300), 100.0, 1e4};
+}
+
+TEST(PoissonDistTest, InverseCdfOfCdfIsExact) {
+  const Distribution* d = Lookup("Poisson");
+  for (double lambda : PoissonRates()) {
+    const std::vector<double> params = {lambda};
+    const double sd = std::sqrt(lambda);
+    for (double k = std::max(0.0, std::floor(lambda - 6.0 * sd));
+         k <= lambda + 6.0 * sd; k += 1.0) {
+      const double f = d->Cdf(params, 0, k).value();
+      EXPECT_EQ(d->InverseCdf(params, 0, f).value(), k)
+          << "lambda=" << lambda << " k=" << k;
+    }
+  }
+}
+
+TEST(PoissonDistTest, DrawMomentsWithinSixSigma) {
+  // Batch and scalar draws read one quantile, so the batch path's moments
+  // stand for both; batch keeps the 1e4-rate case quick.
+  const Distribution* d = Lookup("Poisson");
+  constexpr uint64_t kDraws = 100000;
+  std::vector<double> draws(kDraws);
+  for (double lambda : PoissonRates()) {
+    SampleContext ctx{/*seed=*/2024, /*var_id=*/5, /*sample_index=*/0, 0};
+    ASSERT_TRUE(d->GenerateBatch({lambda}, ctx, kDraws, draws.data()).ok());
+    RunningStats stats;
+    for (double x : draws) stats.Add(x);
+    // Var(sample mean) = lambda / n; Var(sample variance) ~ (mu4 -
+    // sigma^4) / n with central mu4 = lambda + 3 lambda^2.
+    const double n = static_cast<double>(kDraws);
+    EXPECT_NEAR(stats.mean(), lambda, 6.0 * std::sqrt(lambda / n))
+        << "lambda=" << lambda;
+    EXPECT_NEAR(stats.variance(), lambda,
+                6.0 * std::sqrt((lambda + 2.0 * lambda * lambda) / n))
+        << "lambda=" << lambda;
+  }
+}
+
+TEST(SpecialFunctionTest, PoissonAndGammaDensitiesAreThreadSafe) {
+  // Pdf/Cdf of both laws reach LogGamma (through the Poisson pmf, the
+  // large-rate Poisson CDF and the Gamma density and CDF), which must not
+  // write shared state: the sampling pool evaluates them concurrently.
+  const Distribution* poisson = Lookup("Poisson");
+  const Distribution* gamma = Lookup("Gamma");
+  auto evaluate = [&] {
+    double acc = 0.0;
+    for (int i = 0; i < 2000; ++i) {
+      const double x = 0.5 + (i % 97);
+      acc += poisson->Pdf({6.0}, 0, std::floor(x)).value();
+      acc += poisson->Cdf({100.0}, 0, x).value();
+      acc += gamma->Pdf({2.5, 1.5}, 0, x).value();
+      acc += gamma->Cdf({0.7, 3.0}, 0, x).value();
+    }
+    return acc;
+  };
+  const double expected = evaluate();
+  std::vector<double> results(4, 0.0);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < results.size(); ++t) {
+    threads.emplace_back([&, t] { results[t] = evaluate(); });
+  }
+  for (std::thread& t : threads) t.join();
+  for (double r : results) EXPECT_EQ(r, expected);
 }
 
 TEST(BernoulliDistTest, ExtremeProbabilities) {

@@ -11,9 +11,12 @@
 #include "src/server/server.h"
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <atomic>
 #include <chrono>
+#include <fstream>
+#include <string>
 #include <thread>
 
 #include "src/server/client.h"
@@ -37,6 +40,10 @@ using server::WireResponse;
 
 TEST(AdmissionGateTest, BoundsConcurrency) {
   AdmissionGate gate(2);
+  // Both slots start held and are released only once every worker has
+  // queued, so the workers contend however the scheduler runs them.
+  AdmissionGate::Ticket held[2] = {gate.Acquire().value(),
+                                   gate.Acquire().value()};
   std::atomic<int> in_flight{0};
   std::atomic<int> max_seen{0};
   std::vector<std::thread> threads;
@@ -53,10 +60,12 @@ TEST(AdmissionGateTest, BoundsConcurrency) {
       }
     });
   }
+  while (gate.stats().waiting < threads.size()) std::this_thread::yield();
+  for (AdmissionGate::Ticket& ticket : held) ticket = AdmissionGate::Ticket();
   for (auto& t : threads) t.join();
   EXPECT_LE(max_seen.load(), 2);
   AdmissionGate::Stats stats = gate.stats();
-  EXPECT_EQ(stats.admitted, 200u);
+  EXPECT_EQ(stats.admitted, 202u);  // The workers' 200 and the 2 held.
   EXPECT_EQ(stats.in_flight, 0u);
   EXPECT_GT(stats.queued, 0u);  // 8 threads over 2 slots must queue.
 }
@@ -542,6 +551,55 @@ TEST(ServerLifecycleTest, StopUnblocksLiveConnections) {
   ASSERT_TRUE(client.Execute("SHOW DISTRIBUTIONS").ok());
   srv.Stop();  // Must not hang on the idle connection.
   EXPECT_FALSE(client.Execute("SHOW DISTRIBUTIONS").ok());
+}
+
+/// One numeric field of /proc/self/status ("Threads", "VmSize" in kB).
+long ProcStatusField(const std::string& key) {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.compare(0, key.size() + 1, key + ":") == 0) {
+      return std::stol(line.substr(key.size() + 1));
+    }
+  }
+  return -1;
+}
+
+TEST(ServerLifecycleTest, ConnectionChurnReapsThreads) {
+  // Each closed connection's thread is joined on a later accept, so
+  // reconnecting clients hold neither threads nor their stacks. An
+  // unjoined thread keeps its ~8 MB stack mapped: 2,000 of them would
+  // add ~16 GB of VmSize.
+  //
+  // glibc maps a 64 MB malloc arena whenever threads contend for the
+  // existing ones, which depends on scheduling; one arena keeps VmSize a
+  // measure of thread stacks alone.
+  mallopt(M_ARENA_MAX, 1);
+  Database db(1);
+  Server srv(&db, ServerOptions{});
+  ASSERT_TRUE(srv.Start().ok());
+  auto cycle = [&] {
+    Client client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", srv.port()).ok());
+  };
+  // Warm up first: glibc caches a few freed stacks for reuse.
+  for (int i = 0; i < 50; ++i) cycle();
+  const long threads0 = ProcStatusField("Threads");
+  const long vmsize0_kb = ProcStatusField("VmSize");
+  ASSERT_GT(threads0, 0);
+  ASSERT_GT(vmsize0_kb, 0);
+  for (int i = 0; i < 2000; ++i) cycle();
+  // The last connection's thread exits once it reads the close.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (ProcStatusField("Threads") > threads0 + 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_LE(ProcStatusField("Threads"), threads0 + 1);
+  EXPECT_LT(ProcStatusField("VmSize") - vmsize0_kb, 64 * 1024);
+  EXPECT_EQ(srv.connections_accepted(), 2050u);
+  srv.Stop();
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 namespace pip {
 namespace {
@@ -143,6 +146,86 @@ TEST(PoissonCdfTest, NegativeIsZero) {
 TEST(PoissonCdfTest, NonIntegerArgumentFloors) {
   EXPECT_NEAR(PoissonCdf(3.0, 2.7), PoissonCdf(3.0, 2.0), 1e-15);
 }
+
+// ---------------------------------------------------------------------------
+// PoissonLadder: the ladder below kPoissonLadderMaxLambda, the incomplete
+// gamma at and above it.
+// ---------------------------------------------------------------------------
+
+class PoissonLadderTest : public ::testing::TestWithParam<double> {
+ protected:
+  /// Rungs worth checking: the whole ladder up to saturation, or a +/-12
+  /// sd band around a large mean (outside it the CDF underflows to 0 or
+  /// rounds to 1, where no quantile can tell rungs apart).
+  static double Lo(double lambda) {
+    return std::max(0.0, std::floor(lambda - 12.0 * std::sqrt(lambda)));
+  }
+  static double Hi(double lambda) {
+    return std::ceil(lambda + 12.0 * std::sqrt(lambda) + 40.0);
+  }
+};
+
+TEST_P(PoissonLadderTest, QuantileOfCdfIsExact) {
+  const double lambda = GetParam();
+  const PoissonLadder ladder(lambda);
+  double prev = 0.0;
+  for (double k = Lo(lambda); k <= Hi(lambda); k += 1.0) {
+    const double f = ladder.Cdf(k);
+    if (f >= 1.0) break;
+    if (lambda < kPoissonLadderMaxLambda) {
+      // Every rung below saturation adds positive mass.
+      EXPECT_LT(ladder.Cdf(k - 1.0), f) << "k=" << k;
+    } else if (!(ladder.Cdf(k - 1.0) < f)) {
+      continue;  // An underflowed left tail: no strict step to invert.
+    }
+    EXPECT_EQ(ladder.Quantile(f), k) << "lambda=" << lambda << " k=" << k;
+    EXPECT_GE(f, prev);
+    prev = f;
+  }
+}
+
+TEST_P(PoissonLadderTest, QuantileBracketsDenseGrid) {
+  const double lambda = GetParam();
+  const PoissonLadder ladder(lambda);
+  std::vector<double> qs = {1e-300, 0x1p-53, 1.0 - 0x1p-53};
+  for (int i = 1; i < 4096; ++i) qs.push_back(i / 4096.0);
+  for (double q : qs) {
+    const double k = ladder.Quantile(q);
+    ASSERT_TRUE(std::isfinite(k)) << "q=" << q;
+    EXPECT_EQ(k, std::floor(k));
+    EXPECT_LT(ladder.Cdf(k - 1.0), q) << "lambda=" << lambda << " q=" << q;
+    EXPECT_LE(q, ladder.Cdf(k)) << "lambda=" << lambda << " q=" << q;
+  }
+}
+
+TEST_P(PoissonLadderTest, CdfSaturatesToExactlyOne) {
+  const double lambda = GetParam();
+  const PoissonLadder ladder(lambda);
+  const double hi = Hi(lambda);
+  EXPECT_EQ(ladder.Cdf(hi), 1.0);
+  EXPECT_EQ(ladder.Cdf(1e6 + hi), 1.0);
+  EXPECT_EQ(ladder.Cdf(std::numeric_limits<double>::infinity()), 1.0);
+  EXPECT_TRUE(std::isinf(ladder.Quantile(1.0)));
+  EXPECT_EQ(ladder.Cdf(-0.5), 0.0);
+  EXPECT_EQ(ladder.Quantile(0.0), 0.0);
+}
+
+TEST_P(PoissonLadderTest, AgreesWithIncompleteGamma) {
+  const double lambda = GetParam();
+  const PoissonLadder ladder(lambda);
+  for (double k = Lo(lambda); k <= Hi(lambda); k += 1.0) {
+    EXPECT_NEAR(ladder.Cdf(k), RegularizedGammaQ(k + 1.0, lambda), 1e-12)
+        << "lambda=" << lambda << " k=" << k;
+    EXPECT_EQ(ladder.Cdf(k + 0.5), ladder.Cdf(k));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rates, PoissonLadderTest,
+    ::testing::Values(0.05, 1.0, 6.0, 12.0,
+                      std::nextafter(kPoissonLadderMaxLambda, 0.0),
+                      std::nextafter(kPoissonLadderMaxLambda, 1e300), 100.0,
+                      1e4));
 
 TEST(PoissonLogPmfTest, SumsToOne) {
   double lambda = 6.0;
