@@ -13,9 +13,11 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_json.h"
+#include "src/common/random.h"
 #include "src/common/thread_pool.h"
 #include "src/common/timer.h"
 #include "src/dist/variable_pool.h"
@@ -471,12 +473,12 @@ void NestedShapeSweep() {
   AppendBenchRecords(BenchJsonPath(), records);
 }
 
-/// Scalar-vs-batch draw ablation: one batch-eligible expectation (no
-/// conditions, so every chunk pre-draws its whole sample range with
-/// GenerateBatch when the toggle is on) timed with use_batch_generation
-/// off and on. The two runs must agree bit-for-bit — the batch-draw
-/// contract (README) — so the record pair differs only in throughput;
-/// bench-smoke asserts a regression threshold on it.
+/// Scalar-vs-batch draw ablation: one unconstrained expectation (no
+/// conditions, so every chunk draws its whole sample range in a single
+/// GenerateBatch round when the toggle is on) timed with
+/// use_batch_generation off and on. The two runs must agree bit-for-bit
+/// — the batch-draw contract (README) — so the record pair differs only
+/// in throughput; bench-smoke asserts a regression threshold on it.
 void BatchDrawAblation() {
   const size_t samples = SmokeMode() ? 100000 : 1000000;
   pip::Database db(20260807);
@@ -520,6 +522,82 @@ void BatchDrawAblation() {
     r.samples = static_cast<double>(samples);
     r.samples_per_sec = rate;
     r.value = value[mode];
+    records.push_back(r);
+  }
+  std::printf("bit-identical scalar vs batch: yes; speedup %.2fx\n\n",
+              wall[1] > 0 ? wall[0] / wall[1] : 0.0);
+  AppendBenchRecords(BenchJsonPath(), records);
+}
+
+/// Scalar-vs-batch rejection ablation on the Q5 row shape: per part,
+/// E[(demand - supply) * c | demand > supply] with P[demand > supply],
+/// demand ~ Poisson(1..12) and supply ~ Exponential at a selectivity in
+/// [5%, 30%] (the mc_analytic parameters). The two-variable atom rejects,
+/// so the batch run draws in gather rounds tested by compiled atoms. The
+/// two runs must agree bit-for-bit on every row's expectation,
+/// probability and attempt count; bench-smoke asserts the speedup.
+void RejectionAblation() {
+  const size_t rows = 300;
+  const size_t samples = 200;
+  pip::Database db(20261017);
+  pip::Rng rng(5);
+  std::vector<std::pair<pip::ExprPtr, pip::Condition>> parts;
+  for (size_t r = 0; r < rows; ++r) {
+    const double lambda = 1.0 + 11.0 * rng.NextUniform();
+    const double rate =
+        pip::workload::Q5SupplyRate(lambda, 0.05 + 0.25 * rng.NextUniform());
+    auto demand =
+        pip::Expr::Var(db.CreateVariable("Poisson", {lambda}).value());
+    auto supply =
+        pip::Expr::Var(db.CreateVariable("Exponential", {rate}).value());
+    parts.emplace_back((demand - supply) * pip::Expr::Constant(1.5),
+                       pip::Condition(demand > supply));
+  }
+
+  double wall[2] = {0.0, 0.0};
+  std::vector<double> results[2];
+  for (int mode = 0; mode < 2; ++mode) {
+    SamplingOptions opts;
+    opts.fixed_samples = samples;
+    opts.num_threads = 1;
+    opts.index_enabled = false;
+    opts.use_batch_generation = mode == 1;
+    pip::SamplingEngine engine = db.MakeEngine(opts);
+    pip::WallTimer timer;
+    for (const auto& [expr, cond] : parts) {
+      auto r = engine.Expectation(expr, cond, /*compute_probability=*/true);
+      PIP_CHECK(r.ok());
+      results[mode].push_back(r.value().expectation);
+      results[mode].push_back(r.value().probability);
+      results[mode].push_back(static_cast<double>(r.value().attempts));
+    }
+    wall[mode] = timer.Seconds();
+  }
+  PIP_CHECK_MSG(std::memcmp(results[0].data(), results[1].data(),
+                            results[0].size() * sizeof(double)) == 0,
+                "batched rejection diverged from scalar rejection");
+
+  double sum = 0.0;
+  for (size_t r = 0; r < rows; ++r) sum += results[0][3 * r];
+  std::printf("=== Rejection ablation: Q5 rows, %zu parts x %zu samples, "
+              "1 thread ===\n",
+              rows, samples);
+  const char* names[] = {"scalar_rejection", "batch_rejection"};
+  std::vector<BenchRecord> records;
+  for (int mode = 0; mode < 2; ++mode) {
+    double rate = wall[mode] > 0
+                      ? static_cast<double>(rows * samples) / wall[mode]
+                      : 0.0;
+    std::printf("%16s %10.3fs %14.0f samples/s\n", names[mode], wall[mode],
+                rate);
+    BenchRecord r;
+    r.bench = "fig6_batch_ablation";
+    r.query = names[mode];
+    r.threads = 1;
+    r.wall_seconds = wall[mode];
+    r.samples = static_cast<double>(rows * samples);
+    r.samples_per_sec = rate;
+    r.value = sum;
     records.push_back(r);
   }
   std::printf("bit-identical scalar vs batch: yes; speedup %.2fx\n\n",
@@ -578,6 +656,7 @@ int main(int argc, char** argv) {
   AnalyzeRowSweep();
   NestedShapeSweep();
   BatchDrawAblation();
+  RejectionAblation();
   DrawKernelRates();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -24,14 +24,29 @@ inline uint64_t Avalanche(uint64_t z) {
 
 inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
+// MixBits in two halves: the first mixes (a, b), the second folds in
+// (c, d), so streams sharing (a, b) can mix those words once.
+inline uint64_t MixHead(uint64_t a, uint64_t b) {
+  uint64_t h = Avalanche(a + 0x9e3779b97f4a7c15ULL);
+  return Avalanche(h ^ Rotl(b, 17) ^ 0xc2b2ae3d27d4eb4fULL);
+}
+
+inline uint64_t MixTailC(uint64_t head, uint64_t c) {
+  return Avalanche(head + Rotl(c, 31) + 0x165667b19e3779f9ULL);
+}
+
+inline uint64_t MixTailD(uint64_t h, uint64_t d) {
+  return Avalanche(h ^ Rotl(d, 47) ^ 0x27d4eb2f165667c5ULL);
+}
+
+inline double ToUniform(uint64_t bits) {
+  return static_cast<double>(bits >> 11) * 0x1.0p-53;
+}
+
 }  // namespace
 
 uint64_t MixBits(uint64_t a, uint64_t b, uint64_t c, uint64_t d) {
-  uint64_t h = Avalanche(a + 0x9e3779b97f4a7c15ULL);
-  h = Avalanche(h ^ Rotl(b, 17) ^ 0xc2b2ae3d27d4eb4fULL);
-  h = Avalanche(h + Rotl(c, 31) + 0x165667b19e3779f9ULL);
-  h = Avalanche(h ^ Rotl(d, 47) ^ 0x27d4eb2f165667c5ULL);
-  return h;
+  return MixTailD(MixTailC(MixHead(a, b), c), d);
 }
 
 uint64_t RandomStream::NextBounded(uint64_t n) {
@@ -68,8 +83,21 @@ void RandomStream::FillUniforms(double* out, uint64_t n) {
   const uint64_t b = variable_id_ * 0xbf58476d1ce4e5b9ULL;
   const uint64_t c = component_ ^ (sample_index_ << 32);
   for (uint64_t i = 0; i < n; ++i) {
-    out[i] = static_cast<double>(MixBits(a, b, c, counter_++) >> 11) *
-             0x1.0p-53;
+    out[i] = ToUniform(MixBits(a, b, c, counter_++));
+  }
+}
+
+void RandomStream::FillFreshUniforms(uint64_t seed, uint64_t variable_id,
+                                     uint64_t component,
+                                     const uint64_t* sample_indices, size_t n,
+                                     uint64_t words, double* out) {
+  const uint64_t head = MixHead(seed ^ 0x9e3779b97f4a7c15ULL,
+                                variable_id * 0xbf58476d1ce4e5b9ULL);
+  for (size_t s = 0; s < n; ++s) {
+    const uint64_t h = MixTailC(head, component ^ (sample_indices[s] << 32));
+    for (uint64_t w = 0; w < words; ++w) {
+      out[s * words + w] = ToUniform(MixTailD(h, w));
+    }
   }
 }
 

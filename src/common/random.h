@@ -12,6 +12,7 @@
 #ifndef PIP_COMMON_RANDOM_H_
 #define PIP_COMMON_RANDOM_H_
 
+#include <cstddef>
 #include <cstdint>
 
 namespace pip {
@@ -83,6 +84,15 @@ class RandomStream {
   /// Fills out[0..n) with the next n uniforms in [0, 1). Bit-identical to
   /// calling NextUniform() n times (one word per value).
   void FillUniforms(double* out, uint64_t n);
+
+  /// Fills out[s * words + w] with the w-th NextUniform() of a fresh
+  /// stream (seed, variable_id, component, sample_indices[s]), for s in
+  /// [0, n) and w in [0, words). Bit-identical to opening each stream and
+  /// drawing from it; the key words the streams share are mixed once.
+  static void FillFreshUniforms(uint64_t seed, uint64_t variable_id,
+                                uint64_t component,
+                                const uint64_t* sample_indices, size_t n,
+                                uint64_t words, double* out);
 
  private:
   uint64_t seed_;

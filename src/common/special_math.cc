@@ -341,6 +341,44 @@ double PoissonLadder::Quantile(double q) const {
   return k;
 }
 
+void PoissonLadder::QuantileBatch(double* q, size_t n) const {
+  if (lambda_ >= kPoissonLadderMaxLambda) {
+    for (size_t s = 0; s < n; ++s) q[s] = Quantile(q[s]);
+    return;
+  }
+  // cdf[0..built) are Climb's rungs, the saturated one holding 1.0. At
+  // rates below the threshold the ladder saturates well before kRungs.
+  constexpr size_t kRungs = 256;
+  double cdf[kRungs];
+  double pmf = p0_;
+  cdf[0] = std::min(pmf, 1.0);
+  size_t built = 1;
+  for (size_t s = 0; s < n; ++s) {
+    const double u = q[s];
+    if (!(u > 0.0 && u < 1.0)) {
+      q[s] = Quantile(u);  // The endpoints and NaN.
+      continue;
+    }
+    // Climb past u: cdf[built - 1] < u < 1, so that rung is not
+    // saturated and the next one exists.
+    while (cdf[built - 1] < u && built < kRungs) {
+      pmf *= lambda_ / static_cast<double>(built);
+      const double prev = cdf[built - 1];
+      const double next = prev + pmf;
+      cdf[built++] = next == prev || next >= 1.0 ? 1.0 : next;
+    }
+    if (cdf[built - 1] < u) {
+      q[s] = Quantile(u);
+      continue;
+    }
+    // The rungs never decrease, so the first one >= u sits after
+    // exactly the rungs < u; counting them needs no branch per rung.
+    size_t k = 0;
+    for (size_t j = 0; j < built; ++j) k += cdf[j] < u;
+    q[s] = static_cast<double>(k);
+  }
+}
+
 double PoissonCdf(double lambda, double k) {
   return PoissonLadder(lambda).Cdf(k);
 }

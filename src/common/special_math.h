@@ -10,6 +10,8 @@
 #ifndef PIP_COMMON_SPECIAL_MATH_H_
 #define PIP_COMMON_SPECIAL_MATH_H_
 
+#include <cstddef>
+
 namespace pip {
 
 /// Inverse of erf on (-1, 1). Returns +/-inf at the endpoints.
@@ -73,6 +75,12 @@ class PoissonLadder {
   /// Smallest integer k >= 0 with Cdf(k) >= q; 0 for q <= 0, +inf for
   /// q >= 1.
   double Quantile(double q) const;
+
+  /// q[s] = Quantile(q[s]) for s in [0, n), bitwise. Below
+  /// kPoissonLadderMaxLambda the ladder is climbed once for the batch:
+  /// rungs are kept as they are first reached and each quantile is read
+  /// off them by comparison.
+  void QuantileBatch(double* q, size_t n) const;
 
  private:
   struct Rung {

@@ -9,6 +9,7 @@
 /// and the Irwin-Hall sum has a piecewise-polynomial density impractical
 /// past a few terms — generate-only is its honest contract.
 
+#include <algorithm>
 #include <limits>
 
 #include "src/common/special_math.h"
@@ -24,17 +25,32 @@ using std::sqrt;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Fills u[s * per_sample + k] with word k of sample s's component-0
-/// stream, for n consecutive samples starting at ctx.sample_index. Each
-/// sample gets its own stream with the counter at zero — exactly how the
-/// scalar path opens them — so the batch kernels below stay word-for-word
-/// identical to the per-sample loop.
-void FillComponentUniforms(const SampleContext& ctx, uint64_t n,
-                           uint64_t per_sample, double* u) {
-  const uint64_t mixed_seed = ctx.MixedSeed();
-  for (uint64_t s = 0; s < n; ++s) {
-    RandomStream stream(mixed_seed, ctx.var_id, 0, ctx.sample_index + s);
-    stream.FillUniforms(u + s * per_sample, per_sample);
+/// Fills u[s * per_sample + k] with word k of the component-0 stream of
+/// sample idx[s], for s in [0, n). Each sample gets its own stream with
+/// the counter at zero — exactly how the scalar path opens them — so the
+/// batch kernels below stay word-for-word identical to the per-sample
+/// loop.
+void FillComponentUniforms(const SampleContext& ctx, const uint64_t* idx,
+                           size_t n, uint64_t per_sample, double* u) {
+  RandomStream::FillFreshUniforms(ctx.MixedSeed(), ctx.var_id, 0, idx, n,
+                                  per_sample, u);
+}
+
+/// Box-Muller over two words per sample (cosine branch, first uniform
+/// clamped open) — the exact NextGaussian word schedule — writing
+/// standard normals to z[0..n). Works through a fixed stack block, so
+/// the small index lists of rejection rounds allocate nothing.
+void FillGaussians(const SampleContext& ctx, const uint64_t* idx, size_t n,
+                   double* z) {
+  constexpr size_t kBlock = 128;
+  double u[2 * kBlock];
+  for (size_t base = 0; base < n; base += kBlock) {
+    const size_t m = std::min(kBlock, n - base);
+    FillComponentUniforms(ctx, idx + base, m, 2, u);
+    for (size_t s = 0; s < m; ++s) {
+      double u1 = u[2 * s] > 0.0 ? u[2 * s] : 0x1.0p-53;
+      z[base + s] = sqrt(-2.0 * log(u1)) * std::cos(2.0 * M_PI * u[2 * s + 1]);
+    }
   }
 }
 
@@ -64,16 +80,10 @@ class NormalDist : public Distribution {
     return Status::OK();
   }
   Status GenerateBatch(const std::vector<double>& p, const SampleContext& ctx,
-                       uint64_t n, double* out) const override {
-    // Two words per sample (Box-Muller, cosine branch, first uniform
-    // clamped open) — the exact NextGaussian word schedule.
-    std::vector<double> u(2 * n);
-    FillComponentUniforms(ctx, n, 2, u.data());
-    for (uint64_t s = 0; s < n; ++s) {
-      double u1 = u[2 * s] > 0.0 ? u[2 * s] : 0x1.0p-53;
-      out[s] = p[0] + p[1] * (sqrt(-2.0 * log(u1)) *
-                              std::cos(2.0 * M_PI * u[2 * s + 1]));
-    }
+                       const uint64_t* idx, size_t n,
+                       double* out) const override {
+    FillGaussians(ctx, idx, n, out);
+    for (size_t s = 0; s < n; ++s) out[s] = p[0] + p[1] * out[s];
     return Status::OK();
   }
   StatusOr<double> Pdf(const std::vector<double>& p, uint32_t,
@@ -126,10 +136,11 @@ class UniformDist : public Distribution {
     return Status::OK();
   }
   Status GenerateBatch(const std::vector<double>& p, const SampleContext& ctx,
-                       uint64_t n, double* out) const override {
-    FillComponentUniforms(ctx, n, 1, out);
+                       const uint64_t* idx, size_t n,
+                       double* out) const override {
+    FillComponentUniforms(ctx, idx, n, 1, out);
     const double lo = p[0], w = p[1] - p[0];
-    for (uint64_t s = 0; s < n; ++s) out[s] = lo + w * out[s];
+    for (size_t s = 0; s < n; ++s) out[s] = lo + w * out[s];
     return Status::OK();
   }
   StatusOr<double> Pdf(const std::vector<double>& p, uint32_t,
@@ -185,10 +196,11 @@ class ExponentialDist : public Distribution {
     return Status::OK();
   }
   Status GenerateBatch(const std::vector<double>& p, const SampleContext& ctx,
-                       uint64_t n, double* out) const override {
-    FillComponentUniforms(ctx, n, 1, out);
+                       const uint64_t* idx, size_t n,
+                       double* out) const override {
+    FillComponentUniforms(ctx, idx, n, 1, out);
     const double rate = p[0];
-    for (uint64_t s = 0; s < n; ++s) out[s] = -std::log1p(-out[s]) / rate;
+    for (size_t s = 0; s < n; ++s) out[s] = -std::log1p(-out[s]) / rate;
     return Status::OK();
   }
   StatusOr<double> Pdf(const std::vector<double>& p, uint32_t,
@@ -303,14 +315,10 @@ class LognormalDist : public Distribution {
     return Status::OK();
   }
   Status GenerateBatch(const std::vector<double>& p, const SampleContext& ctx,
-                       uint64_t n, double* out) const override {
-    std::vector<double> u(2 * n);
-    FillComponentUniforms(ctx, n, 2, u.data());
-    for (uint64_t s = 0; s < n; ++s) {
-      double u1 = u[2 * s] > 0.0 ? u[2 * s] : 0x1.0p-53;
-      out[s] = exp(p[0] + p[1] * (sqrt(-2.0 * log(u1)) *
-                                  std::cos(2.0 * M_PI * u[2 * s + 1])));
-    }
+                       const uint64_t* idx, size_t n,
+                       double* out) const override {
+    FillGaussians(ctx, idx, n, out);
+    for (size_t s = 0; s < n; ++s) out[s] = exp(p[0] + p[1] * out[s]);
     return Status::OK();
   }
   StatusOr<double> Pdf(const std::vector<double>& p, uint32_t,

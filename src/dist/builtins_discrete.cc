@@ -20,14 +20,12 @@ namespace dist_internal {
 namespace {
 
 /// Batch word fill for univariate kernels: u[s] gets the first uniform of
-/// sample s's component-0 stream, matching the scalar path's per-sample
-/// stream construction exactly (see builtins_continuous.cc).
-void FillFirstUniforms(const SampleContext& ctx, uint64_t n, double* u) {
-  const uint64_t mixed_seed = ctx.MixedSeed();
-  for (uint64_t s = 0; s < n; ++s) {
-    RandomStream stream(mixed_seed, ctx.var_id, 0, ctx.sample_index + s);
-    stream.FillUniforms(u + s, 1);
-  }
+/// sample idx[s]'s component-0 stream, matching the scalar path's
+/// per-sample stream construction exactly (see builtins_continuous.cc).
+void FillFirstUniforms(const SampleContext& ctx, const uint64_t* idx,
+                       size_t n, double* u) {
+  RandomStream::FillFreshUniforms(ctx.MixedSeed(), ctx.var_id, 0, idx, n, 1,
+                                  u);
 }
 
 // ---------------------------------------------------------------------------
@@ -56,10 +54,10 @@ class PoissonDist : public Distribution {
     return Status::OK();
   }
   Status GenerateBatch(const std::vector<double>& p, const SampleContext& ctx,
-                       uint64_t n, double* out) const override {
-    FillFirstUniforms(ctx, n, out);
-    const PoissonLadder ladder(p[0]);
-    for (uint64_t s = 0; s < n; ++s) out[s] = ladder.Quantile(out[s]);
+                       const uint64_t* idx, size_t n,
+                       double* out) const override {
+    FillFirstUniforms(ctx, idx, n, out);
+    PoissonLadder(p[0]).QuantileBatch(out, n);
     return Status::OK();
   }
   StatusOr<double> Pdf(const std::vector<double>& p, uint32_t,
@@ -118,10 +116,11 @@ class BernoulliDist : public Distribution {
     return Status::OK();
   }
   Status GenerateBatch(const std::vector<double>& p, const SampleContext& ctx,
-                       uint64_t n, double* out) const override {
-    FillFirstUniforms(ctx, n, out);
+                       const uint64_t* idx, size_t n,
+                       double* out) const override {
+    FillFirstUniforms(ctx, idx, n, out);
     const double prob = p[0];
-    for (uint64_t s = 0; s < n; ++s) out[s] = out[s] < prob ? 1.0 : 0.0;
+    for (size_t s = 0; s < n; ++s) out[s] = out[s] < prob ? 1.0 : 0.0;
     return Status::OK();
   }
   StatusOr<double> Pdf(const std::vector<double>& p, uint32_t,
@@ -372,7 +371,8 @@ class CategoricalDist : public Distribution {
     return Status::Internal("Categorical with no positive-mass value");
   }
   Status GenerateBatch(const std::vector<double>& p, const SampleContext& ctx,
-                       uint64_t n, double* out) const override {
+                       const uint64_t* idx, size_t n,
+                       double* out) const override {
     // Batch draws DO use the memoized table: one hash amortized over the
     // whole block, then binary searches. The table's prefix sums are
     // accumulated in index order, so `u < prefix[k + 1]` is bitwise the
@@ -391,8 +391,8 @@ class CategoricalDist : public Distribution {
     if (tail < 0.0) {
       return Status::Internal("Categorical with no positive-mass value");
     }
-    FillFirstUniforms(ctx, n, out);
-    for (uint64_t s = 0; s < n; ++s) {
+    FillFirstUniforms(ctx, idx, n, out);
+    for (size_t s = 0; s < n; ++s) {
       auto it = std::upper_bound(prefix.begin() + 1, prefix.end(), out[s]);
       out[s] = it == prefix.end()
                    ? tail

@@ -10,21 +10,22 @@ Status Distribution::MissingCapability(const char* what) const {
 }
 
 Status Distribution::GenerateBatch(const std::vector<double>& params,
-                                   const SampleContext& ctx, uint64_t n,
+                                   const SampleContext& ctx,
+                                   const uint64_t* sample_indices, size_t n,
                                    double* out) const {
   // Fallback: the scalar loop, which is bit-identical by definition.
   const size_t d = NumComponents(params);
   std::vector<double> joint;
   SampleContext sample = ctx;
-  for (uint64_t s = 0; s < n; ++s) {
-    sample.sample_index = ctx.sample_index + s;
+  for (size_t k = 0; k < n; ++k) {
+    sample.sample_index = sample_indices[k];
     PIP_RETURN_IF_ERROR(GenerateJoint(params, sample, &joint));
     if (joint.size() != d) {
       return Status::Internal("GenerateJoint produced " +
                               std::to_string(joint.size()) +
                               " components, expected " + std::to_string(d));
     }
-    std::copy(joint.begin(), joint.end(), out + s * d);
+    std::copy(joint.begin(), joint.end(), out + k * d);
   }
   return Status::OK();
 }

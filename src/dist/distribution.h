@@ -125,18 +125,20 @@ class Distribution {
                                const SampleContext& ctx,
                                std::vector<double>* out) const = 0;
 
-  /// Draws `n` consecutive samples (sample indices ctx.sample_index ..
-  /// ctx.sample_index + n - 1) into `out`, sample-major: sample s occupies
-  /// out[s * NumComponents(params) .. (s + 1) * NumComponents(params)).
-  /// The contract is strict bit-identity with the scalar path: for every s,
-  /// the written values must equal what GenerateJoint would produce at
-  /// sample index ctx.sample_index + s, which in turn requires each
-  /// sample's per-component word consumption (count and order) to match the
-  /// scalar code exactly. The default loops over GenerateJoint; hot
-  /// builtins override with two-pass kernels (contiguous word fill, then a
-  /// contiguous transform).
+  /// Draws the samples at indices sample_indices[0..n) (attempt and
+  /// var_id from `ctx`; ctx.sample_index is ignored) into `out`,
+  /// sample-major: the k-th listed sample occupies
+  /// out[k * NumComponents(params) .. (k + 1) * NumComponents(params)).
+  /// Indices may come in any order and repeat. The contract is strict
+  /// bit-identity with the scalar path: every written value must equal
+  /// what GenerateJoint would produce at that sample index, which in turn
+  /// requires each sample's per-component word consumption (count and
+  /// order) to match the scalar code exactly. The default loops over
+  /// GenerateJoint, so overriding is optional; hot builtins override with
+  /// two-pass kernels (per-lane word fill, then a transform).
   virtual Status GenerateBatch(const std::vector<double>& params,
-                               const SampleContext& ctx, uint64_t n,
+                               const SampleContext& ctx,
+                               const uint64_t* sample_indices, size_t n,
                                double* out) const;
 
   /// Marginal density (continuous) or probability mass (discrete) of

@@ -1,5 +1,7 @@
 #include "src/dist/variable_pool.h"
 
+#include <algorithm>
+
 #include "src/common/failpoints.h"
 
 namespace pip {
@@ -154,16 +156,33 @@ Status VariablePool::GenerateJoint(uint64_t var_id, uint64_t sample_index,
   return Status::OK();
 }
 
-Status VariablePool::GenerateBatch(uint64_t var_id, uint64_t sample_begin,
-                                   uint64_t n, uint64_t attempt,
-                                   std::vector<double>* out) const {
+Status VariablePool::GenerateBatch(uint64_t var_id,
+                                   const uint64_t* sample_indices, size_t n,
+                                   uint64_t attempt, double* out) const {
   if (PIP_FAILPOINT("dist.generate") == failpoints::ActionKind::kError) {
     return Status::Internal("injected draw failure (dist.generate)");
   }
   PIP_ASSIGN_OR_RETURN(const VariableInfo* info, Info(var_id));
-  SampleContext ctx{seed_, var_id, sample_begin, attempt};
+  SampleContext ctx{seed_, var_id, 0, attempt};
+  return info->dist->GenerateBatch(info->params, ctx, sample_indices, n, out);
+}
+
+Status VariablePool::GenerateBatch(uint64_t var_id, uint64_t sample_begin,
+                                   uint64_t n, uint64_t attempt,
+                                   std::vector<double>* out) const {
+  PIP_ASSIGN_OR_RETURN(const VariableInfo* info, Info(var_id));
   out->resize(n * info->num_components);
-  return info->dist->GenerateBatch(info->params, ctx, n, out->data());
+  // The index list goes through a stack block, so a contiguous range
+  // costs no allocation beyond *out.
+  constexpr uint64_t kBlock = 256;
+  uint64_t idx[kBlock];
+  for (uint64_t base = 0; base < n; base += kBlock) {
+    const uint64_t m = std::min(kBlock, n - base);
+    for (uint64_t k = 0; k < m; ++k) idx[k] = sample_begin + base + k;
+    double* block = out->data() + base * info->num_components;
+    PIP_RETURN_IF_ERROR(GenerateBatch(var_id, idx, m, attempt, block));
+  }
+  return Status::OK();
 }
 
 }  // namespace pip

@@ -111,10 +111,15 @@ class VariablePool {
   Status GenerateJoint(uint64_t var_id, uint64_t sample_index,
                        uint64_t attempt, std::vector<double>* out) const;
 
-  /// Deterministic joint draws for `n` consecutive sample indices starting
-  /// at `sample_begin`, sample-major into `*out` (resized to
-  /// n * num_components). Bit-identical to n GenerateJoint calls; hot
-  /// builtins run a batched kernel instead of the per-sample virtual loop.
+  /// Deterministic joint draws at the listed sample indices, sample-major
+  /// into out[0 .. n * num_components). Bit-identical to n GenerateJoint
+  /// calls; hot builtins run a batched kernel instead of the per-sample
+  /// virtual loop.
+  Status GenerateBatch(uint64_t var_id, const uint64_t* sample_indices,
+                       size_t n, uint64_t attempt, double* out) const;
+
+  /// The same for `n` consecutive sample indices starting at
+  /// `sample_begin`, into `*out` (resized to n * num_components).
   Status GenerateBatch(uint64_t var_id, uint64_t sample_begin, uint64_t n,
                        uint64_t attempt, std::vector<double>* out) const;
 

@@ -44,6 +44,20 @@ ExprPtr FoldBinary(ExprOp op, const ExprPtr& l, const ExprPtr& r) {
 
 }  // namespace
 
+Status EvalErrorStatus(EvalError e) {
+  switch (e) {
+    case EvalError::kNone:
+      return Status::OK();
+    case EvalError::kDivisionByZero:
+      return Status::OutOfRange("division by zero");
+    case EvalError::kLogDomain:
+      return Status::OutOfRange("log of non-positive value");
+    case EvalError::kSqrtDomain:
+      return Status::OutOfRange("sqrt of negative value");
+  }
+  return Status::Internal("unknown evaluation error");
+}
+
 const char* FuncKindName(FuncKind f) {
   switch (f) {
     case FuncKind::kExp:
@@ -211,7 +225,7 @@ StatusOr<Value> Expr::Eval(const Assignment& a) const {
         case ExprOp::kMul:
           return Value(l * r);
         default:
-          if (r == 0.0) return Status::OutOfRange("division by zero");
+          if (r == 0.0) return EvalErrorStatus(EvalError::kDivisionByZero);
           return Value(l / r);
       }
     }
@@ -222,10 +236,10 @@ StatusOr<Value> Expr::Eval(const Assignment& a) const {
         case FuncKind::kExp:
           return Value(std::exp(x));
         case FuncKind::kLog:
-          if (x <= 0.0) return Status::OutOfRange("log of non-positive value");
+          if (x <= 0.0) return EvalErrorStatus(EvalError::kLogDomain);
           return Value(std::log(x));
         case FuncKind::kSqrt:
-          if (x < 0.0) return Status::OutOfRange("sqrt of negative value");
+          if (x < 0.0) return EvalErrorStatus(EvalError::kSqrtDomain);
           return Value(std::sqrt(x));
         case FuncKind::kAbs:
           return Value(std::fabs(x));

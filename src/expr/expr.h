@@ -53,6 +53,18 @@ enum class FuncKind { kExp, kLog, kSqrt, kAbs, kMin, kMax, kPow };
 
 const char* FuncKindName(FuncKind f);
 
+/// The domain errors of numeric evaluation, shared by Expr::Eval and the
+/// column-wise CompiledExpr so both report the identical Status.
+enum class EvalError : uint8_t {
+  kNone = 0,
+  kDivisionByZero,
+  kLogDomain,   ///< log of a non-positive value.
+  kSqrtDomain,  ///< sqrt of a negative value.
+};
+
+/// The OutOfRange status Expr::Eval returns for `e` (OK for kNone).
+Status EvalErrorStatus(EvalError e);
+
 /// \brief Coefficients of a linear expression: sum_i coef[v_i]*v_i + constant.
 struct LinearForm {
   std::map<VarRef, double> coefficients;

@@ -118,8 +118,9 @@ void RunChunkedWaves(uint64_t cap, size_t chunk, size_t start_chunk,
 /// rounding to an absolute endpoint would push an unbounded support's
 /// quantile (InverseCdf(0) = -inf, InverseCdf(1) = +inf) into the sample,
 /// and a one-sided window leaves that endpoint atom-satisfying.
-double WindowDraw(RandomStream* stream, double lo, double hi) {
-  return ClampUnitOpen(lo + (hi - lo) * stream->NextOpenUniform());
+/// `u` is the stream's next NextUniform(), opened as NextOpenUniform does.
+double WindowDraw(double u, double lo, double hi) {
+  return ClampUnitOpen(lo + (hi - lo) * (u > 0.0 ? u : 0x1.0p-53));
 }
 
 /// Per-plan memoized quantile table of a finite discrete variable:
@@ -198,6 +199,10 @@ struct SamplingEngine::GroupPlan {
   bool exact = false;        // Exact CDF integration available.
   double exact_prob = 1.0;
 
+  /// The atoms compiled over `vars` (one program per atom, in order);
+  /// null when some atom does not compile. Shared by chunk clones.
+  std::shared_ptr<const std::vector<CompiledExpr>> compiled_atoms;
+
   // Runtime counters (Alg. 4.3's N and Count[K]).
   size_t accepted = 0;
   size_t attempts = 0;
@@ -226,6 +231,7 @@ struct SamplingEngine::GroupPlan {
     c.quantile_tables = quantile_tables;
     c.exact = exact;
     c.exact_prob = exact_prob;
+    c.compiled_atoms = compiled_atoms;
     c.allow_metropolis = false;
     c.chain_key = MixBits(chain_key, chunk_salt, 0x63686e6bULL, 1);
     c.consistency = consistency;
@@ -233,23 +239,12 @@ struct SamplingEngine::GroupPlan {
   }
 };
 
-/// Per-chunk pre-drawn sample buffers for the batched draw path: for each
-/// target-touching plan, one sample-major value block per distinct
-/// var_id. Filled by one GenerateBatch call per (plan, var_id) — bit-
-/// identical to the per-sample GenerateJoint loop it replaces.
-struct SamplingEngine::PlanBatches {
-  struct VarBatch {
-    uint64_t var_id = 0;
-    uint32_t ncomp = 1;
-    std::vector<double> values;  // len * ncomp, sample-major.
-  };
-  /// Parallel to the plan vector; empty for non-target plans.
-  std::vector<std::vector<VarBatch>> per_plan;
-};
-
 /// Result of one shard of the expectation loop.
 struct SamplingEngine::ChunkOutcome {
-  RunningStats stats;
+  /// Target values of the chunk's samples, in index order: a prefix of
+  /// the chunk when it collapsed, aborted or failed.
+  std::vector<double> values;
+  RunningStats stats;   // Filled from `values` by the expectation loop.
   size_t attempts = 0;  // Attempt-counter consumption of this shard.
   /// Per-plan counter deltas (clone counters, folded back in order).
   std::vector<size_t> group_accepted, group_attempts;
@@ -343,6 +338,17 @@ StatusOr<std::vector<SamplingEngine::GroupPlan>> SamplingEngine::PlanGroups(
     for (size_t idx : g.atom_indices) {
       plan.atoms.push_back(condition.atoms()[idx]);
     }
+    auto programs = std::make_shared<std::vector<CompiledExpr>>();
+    for (const auto& atom : plan.atoms) {
+      std::optional<CompiledExpr> program =
+          CompiledExpr::Compile(atom, plan.vars);
+      if (!program.has_value()) {
+        programs = nullptr;
+        break;
+      }
+      programs->push_back(std::move(*program));
+    }
+    plan.compiled_atoms = std::move(programs);
     plan.touches_target = g.touches_target;
     plan.consistency = consistency;
     // Chain key: stable per (condition, group) so Metropolis chains are
@@ -768,48 +774,6 @@ void SamplingEngine::RunPilotedSchedule(std::vector<GroupPlan>* plans,
       [&](size_t c, Outcome& o) { return fold(c, o, /*cloned=*/true); });
 }
 
-bool SamplingEngine::BatchEligible(
-    const std::vector<GroupPlan>& plans) const {
-  if (!options_.use_batch_generation) return false;
-  bool any = false;
-  for (const auto& plan : plans) {
-    if (!plan.touches_target) continue;
-    any = true;
-    // With no atoms the scalar loop accepts every sample on attempt 0;
-    // with no chain and no windows the draw is a plain GenerateJoint per
-    // distinct id. Anything else keeps the per-sample loop (rejection
-    // retries and chains consume sample-dependent word counts).
-    if (plan.metropolis != nullptr || !plan.atoms.empty()) return false;
-    for (bool constrained : plan.cdf_constrained) {
-      if (constrained) return false;
-    }
-  }
-  return any;
-}
-
-Status SamplingEngine::FillPlanBatches(const std::vector<GroupPlan>& plans,
-                                       uint64_t sample_begin, uint64_t len,
-                                       uint64_t attempt,
-                                       PlanBatches* out) const {
-  out->per_plan.assign(plans.size(), {});
-  for (size_t g = 0; g < plans.size(); ++g) {
-    const GroupPlan& plan = plans[g];
-    if (!plan.touches_target) continue;
-    auto& batches = out->per_plan[g];
-    batches.reserve(plan.var_ids.size());
-    for (uint64_t id : plan.var_ids) {
-      PlanBatches::VarBatch vb;
-      vb.var_id = id;
-      PIP_ASSIGN_OR_RETURN(const VariableInfo* info, pool_->Info(id));
-      vb.ncomp = info->num_components;
-      PIP_RETURN_IF_ERROR(
-          pool_->GenerateBatch(id, sample_begin, len, attempt, &vb.values));
-      batches.push_back(std::move(vb));
-    }
-  }
-  return Status::OK();
-}
-
 StatusOr<bool> SamplingEngine::SampleGroupOnce(GroupPlan* plan,
                                                uint64_t sample_index,
                                                Assignment* assignment,
@@ -826,70 +790,358 @@ StatusOr<bool> SamplingEngine::SampleGroupOnce(GroupPlan* plan,
   for (uint64_t attempt = 0;; ++attempt) {
     if (++(*total_attempts) > attempt_budget) return false;
     ++plan->attempts;
-
-    // Draw every variable of the group.
-    for (size_t i = 0; i < plan->vars.size(); ++i) {
-      const VarRef& v = plan->vars[i];
-      if (plan->cdf_constrained[i]) {
-        SampleContext ctx{pool_->seed(), v.var_id, sample_index, attempt};
-        RandomStream stream = ctx.StreamFor(v.component);
-        double u =
-            WindowDraw(&stream, plan->window_lo[i], plan->window_hi[i]);
-        double x;
-        if (plan->quantile_tables[i] != nullptr) {
-          x = plan->quantile_tables[i]->Quantile(u);
-        } else {
-          PIP_ASSIGN_OR_RETURN(x, pool_->InverseCdf(v, u));
-        }
-        assignment->Set(v, x);
-      } else if (i == 0 || plan->vars[i].var_id != plan->vars[i - 1].var_id) {
-        // Natural joint draw of all components of this id.
-        PIP_RETURN_IF_ERROR(
-            pool_->GenerateJoint(v.var_id, sample_index, attempt, &joint));
-        for (uint32_t comp = 0; comp < joint.size(); ++comp) {
-          assignment->Set(VarRef{v.var_id, comp}, joint[comp]);
-        }
-      }
-    }
-
-    // Accept iff every group atom holds.
-    bool ok = true;
-    for (const auto& atom : plan->atoms) {
-      PIP_ASSIGN_OR_RETURN(bool t, atom.Eval(*assignment));
-      if (!t) {
-        ok = false;
-        break;
-      }
-    }
+    PIP_ASSIGN_OR_RETURN(
+        bool ok, TryAttempt(*plan, sample_index, attempt, assignment, &joint));
     if (ok) {
       ++plan->accepted;
       return true;
     }
+    if (MetropolisDue(*plan)) return StartMetropolis(plan, assignment);
+  }
+}
 
-    // Metropolis switch check (Alg. 4.3 lines 19-24): rejection rate over
-    // this group's lifetime exceeded the threshold. Shard clones skip the
-    // check — the chain decision belongs to the pilot shard, so it never
-    // depends on how the index space was scheduled.
-    if (options_.use_metropolis && plan->allow_metropolis &&
-        plan->attempts >= options_.metropolis_check_after) {
-      double rejection_rate =
-          1.0 - static_cast<double>(plan->accepted) /
-                    static_cast<double>(plan->attempts);
-      if (rejection_rate > options_.metropolis_threshold &&
-          MetropolisSampler::CanHandle(*pool_, plan->vars)) {
-        auto sampler = std::make_unique<MetropolisSampler>(
-            pool_, plan->vars, plan->atoms, plan->consistency,
-            plan->chain_key);
-        Status init = sampler->Init();
-        if (!init.ok()) return false;  // "unable to find a start point".
-        plan->metropolis = std::move(sampler);
-        PIP_RETURN_IF_ERROR(plan->metropolis->NextSample(assignment));
-        ++plan->accepted;
-        return true;
+StatusOr<bool> SamplingEngine::TryAttempt(const GroupPlan& plan,
+                                          uint64_t sample_index,
+                                          uint64_t attempt,
+                                          Assignment* assignment,
+                                          std::vector<double>* joint) const {
+  // Draw every variable of the group.
+  for (size_t i = 0; i < plan.vars.size(); ++i) {
+    const VarRef& v = plan.vars[i];
+    if (plan.cdf_constrained[i]) {
+      SampleContext ctx{pool_->seed(), v.var_id, sample_index, attempt};
+      RandomStream stream = ctx.StreamFor(v.component);
+      double u = WindowDraw(stream.NextUniform(), plan.window_lo[i],
+                            plan.window_hi[i]);
+      double x;
+      if (plan.quantile_tables[i] != nullptr) {
+        x = plan.quantile_tables[i]->Quantile(u);
+      } else {
+        PIP_ASSIGN_OR_RETURN(x, pool_->InverseCdf(v, u));
+      }
+      assignment->Set(v, x);
+    } else if (i == 0 || plan.vars[i].var_id != plan.vars[i - 1].var_id) {
+      // Natural joint draw of all components of this id.
+      PIP_RETURN_IF_ERROR(
+          pool_->GenerateJoint(v.var_id, sample_index, attempt, joint));
+      for (uint32_t comp = 0; comp < joint->size(); ++comp) {
+        assignment->Set(VarRef{v.var_id, comp}, (*joint)[comp]);
       }
     }
   }
+  // Accept iff every group atom holds.
+  for (const auto& atom : plan.atoms) {
+    PIP_ASSIGN_OR_RETURN(bool t, atom.Eval(*assignment));
+    if (!t) return false;
+  }
+  return true;
 }
+
+bool SamplingEngine::MetropolisDue(const GroupPlan& plan) const {
+  // Alg. 4.3 lines 19-24. Shard clones skip the check — the chain
+  // decision belongs to the pilot shard, so it never depends on how the
+  // index space was scheduled.
+  if (!options_.use_metropolis || !plan.allow_metropolis ||
+      plan.attempts < options_.metropolis_check_after) {
+    return false;
+  }
+  double rejection_rate = 1.0 - static_cast<double>(plan.accepted) /
+                                    static_cast<double>(plan.attempts);
+  return rejection_rate > options_.metropolis_threshold &&
+         MetropolisSampler::CanHandle(*pool_, plan.vars);
+}
+
+StatusOr<bool> SamplingEngine::StartMetropolis(GroupPlan* plan,
+                                               Assignment* assignment) const {
+  auto sampler = std::make_unique<MetropolisSampler>(
+      pool_, plan->vars, plan->atoms, plan->consistency, plan->chain_key);
+  Status init = sampler->Init();
+  if (!init.ok()) return false;  // "unable to find a start point".
+  plan->metropolis = std::move(sampler);
+  PIP_RETURN_IF_ERROR(plan->metropolis->NextSample(assignment));
+  ++plan->accepted;
+  return true;
+}
+
+namespace {
+
+/// Records a genuine budget collapse of chunk `chunk_index` by lowering
+/// *first_collapsed to it, so chunks after it abort early.
+void NoteCollapse(size_t chunk_index, std::atomic<uint64_t>* first_collapsed) {
+  if (first_collapsed == nullptr) return;
+  uint64_t cur = first_collapsed->load(std::memory_order_relaxed);
+  while (chunk_index < cur &&
+         !first_collapsed->compare_exchange_weak(cur, chunk_index,
+                                                 std::memory_order_relaxed)) {
+  }
+}
+
+}  // namespace
+
+/// One group's gather rounds over a chunk; the group's atoms must have
+/// compiled. Lane k is sample index first_index + k. A round draws one attempt
+/// for a list of lanes that are still pending: one GenerateBatch call per
+/// distinct variable over the list, a window draw per lane for CDF-windowed
+/// variables, then the compiled atoms over the round's columns. A lane stays
+/// pending while every attempt drawn so far was rejected, and ends accepted
+/// (its draws kept as columns) or failed (a draw or an atom errs) at one
+/// attempt — the attempt at which SampleGroupOnce would return. Draws are pure
+/// functions of (sample index, attempt), so which rounds computed a lane never
+/// shows; Consume replays the scalar loop's counter arithmetic and draws
+/// further rounds only when the replay needs them.
+struct SamplingEngine::PlanRounds {
+  enum class Lane : uint8_t { kPending, kAccepted, kFailed };
+  enum class Verdict { kAccepted, kTripped, kFailed, kMetropolis };
+
+  PlanRounds(const SamplingEngine* engine, GroupPlan* plan,
+             uint64_t first_index, size_t len, size_t* chunk_draws)
+      : engine(engine),
+        plan(plan),
+        first_index(first_index),
+        len(len),
+        chunk_draws(chunk_draws),
+        armed(engine->options_.use_metropolis && plan->allow_metropolis &&
+              MetropolisSampler::CanHandle(*engine->pool_, plan->vars)),
+        state(len, Lane::kPending),
+        attempt_of(len, 0),
+        lane_error(len),
+        columns(plan->vars.size() * len, 0.0) {
+    pending.reserve(len);
+    for (size_t k = 0; k < len; ++k) pending.push_back(k);
+    infos.reserve(plan->vars.size());
+    for (const VarRef& v : plan->vars) {
+      auto info = engine->pool_->Info(v.var_id);
+      infos.push_back(info.ok() ? info.value() : nullptr);
+    }
+  }
+
+  bool accepted(size_t k) const { return state[k] == Lane::kAccepted; }
+
+  /// Draws `attempt` for every lane at once (one attempt per sample).
+  void DrawAll(uint64_t attempt) {
+    Round(attempt, pending.data(), pending.size());
+  }
+
+  /// Lane k's verdict after its deciding round: whether the attempt
+  /// was accepted, or its failure.
+  StatusOr<bool> Outcome(size_t k) const {
+    if (state[k] == Lane::kFailed) return lane_error[k];
+    return state[k] == Lane::kAccepted;
+  }
+
+  /// Accepted value of plan->vars[i] per lane.
+  const double* column(size_t i) const { return columns.data() + i * len; }
+
+  /// Adds lane k's accepted draws to *a (the scalar path's assignment).
+  void Export(size_t k, Assignment* a) const {
+    for (size_t i = 0; i < plan->vars.size(); ++i) {
+      a->Set(plan->vars[i], column(i)[k]);
+    }
+  }
+
+  /// Replays lane k's rejection loop with SampleGroupOnce's arithmetic:
+  /// one budget check and one plan attempt per attempt, the Metropolis
+  /// test after each rejection, acceptance or the failure last. Lanes
+  /// before k must already be consumed.
+  Verdict Consume(size_t k, size_t* total, size_t budget, Status* error) {
+    size_t a = 0;  // Next attempt of lane k to replay.
+    for (;;) {
+      if (state[k] == Lane::kPending && a == attempt_of[k]) Extend(k, budget);
+      // Attempts [a, attempt_of[k]) were drawn and rejected.
+      for (; a < attempt_of[k]; ++a) {
+        if (++*total > budget) return Verdict::kTripped;
+        ++plan->attempts;
+        if (armed && engine->MetropolisDue(*plan)) return Verdict::kMetropolis;
+      }
+      if (state[k] == Lane::kPending) continue;
+      if (++*total > budget) return Verdict::kTripped;
+      ++plan->attempts;
+      if (state[k] == Lane::kFailed) {
+        *error = lane_error[k];
+        return Verdict::kFailed;
+      }
+      ++plan->accepted;
+      return Verdict::kAccepted;
+    }
+  }
+
+ private:
+  /// Draws lane k's next attempt, and speculatively the same attempt of
+  /// every later pending lane unless speculation is off. It turns off
+  /// (for the rest of the chunk) once the chunk's draws exceed the
+  /// budget, or once an armed plan's replay reaches the Metropolis check
+  /// point: the scalar loop may switch to a chain there, and later
+  /// lanes' draws would be waste.
+  void Extend(size_t k, size_t budget) {
+    narrow = narrow || *chunk_draws > budget ||
+             (armed &&
+              plan->attempts >= engine->options_.metropolis_check_after);
+    if (narrow) {
+      // Lanes before k are consumed, so k heads the pending list.
+      Round(attempt_of[k], &k, 1);
+      if (state[k] != Lane::kPending) pending.erase(pending.begin());
+    } else {
+      // Whole rounds keep every pending lane at the same attempt.
+      Round(attempt_of[k], pending.data(), pending.size());
+    }
+  }
+
+  /// Draws attempt `attempt` for lanes[0..m). When `lanes` is the
+  /// pending list, it is compacted to the lanes still pending.
+  void Round(uint64_t attempt, const size_t* lanes, size_t m) {
+    const VariablePool& pool = *engine->pool_;
+    const size_t nv = plan->vars.size();
+    idx.resize(m);
+    for (size_t j = 0; j < m; ++j) idx[j] = first_index + lanes[j];
+    vals.resize(nv * m);  // Var-major: plan->vars[i] of round lane j.
+    // Failures are rare: `failed` (1 + index into `errors`, 0 while
+    // healthy) is only filled once one occurs.
+    failed.clear();
+    errors.clear();
+    auto fail = [&](size_t j, Status s) {
+      if (failed.empty()) failed.assign(m, 0);
+      if (failed[j] != 0) return;  // A draw order's first error wins.
+      errors.push_back(std::move(s));
+      failed[j] = errors.size();
+    };
+    auto healthy = [&](size_t j) { return failed.empty() || failed[j] == 0; };
+
+    for (size_t i = 0; i < nv; ++i) {
+      const VarRef& v = plan->vars[i];
+      double* col = vals.data() + i * m;
+      if (plan->cdf_constrained[i]) {
+        const uint64_t mixed =
+            SampleContext{pool.seed(), v.var_id, 0, attempt}.MixedSeed();
+        const QuantileTable* table = plan->quantile_tables[i].get();
+        RandomStream::FillFreshUniforms(mixed, v.var_id, v.component,
+                                        idx.data(), m, 1, col);
+        for (size_t j = 0; j < m; ++j) {
+          if (!healthy(j)) continue;
+          double u =
+              WindowDraw(col[j], plan->window_lo[i], plan->window_hi[i]);
+          if (table != nullptr) {
+            col[j] = table->Quantile(u);
+          } else {
+            // Windows exist only for univariate variables, so the
+            // pool's component check is settled.
+            auto x = infos[i] != nullptr
+                         ? infos[i]->dist->InverseCdf(infos[i]->params,
+                                                      v.component, u)
+                         : pool.InverseCdf(v, u);
+            if (x.ok()) {
+              col[j] = x.value();
+            } else {
+              fail(j, x.status());
+            }
+          }
+        }
+      } else if (i == 0 || plan->vars[i - 1].var_id != v.var_id) {
+        // One kernel call for every component of this id; components
+        // the group mentions are split out of the sample-major block.
+        const size_t d = infos[i] != nullptr ? infos[i]->num_components : 1;
+        double* out = col;
+        if (d > 1) {
+          block.resize(d * m);
+          out = block.data();
+        }
+        if (!pool.GenerateBatch(v.var_id, idx.data(), m, attempt, out).ok()) {
+          // The batch reports a single lane's error: redraw lane by lane
+          // so each lane gets the outcome its scalar draw would.
+          for (size_t j = 0; j < m; ++j) {
+            Status s = pool.GenerateJoint(v.var_id, idx[j], attempt, &joint);
+            if (s.ok()) {
+              std::copy(joint.begin(), joint.end(), out + j * d);
+            } else {
+              fail(j, std::move(s));
+            }
+          }
+        }
+        if (d > 1) {
+          for (size_t i2 = i; i2 < nv && plan->vars[i2].var_id == v.var_id;
+               ++i2) {
+            double* dst = vals.data() + i2 * m;
+            const uint32_t c = plan->vars[i2].component;
+            for (size_t j = 0; j < m; ++j) dst[j] = block[j * d + c];
+          }
+        }
+      }
+    }
+
+    // Atoms in order, each on the lanes every earlier atom accepted.
+    alive.resize(m);
+    for (size_t j = 0; j < m; ++j) alive[j] = healthy(j);
+    cols.resize(nv);
+    for (size_t i = 0; i < nv; ++i) cols[i] = vals.data() + i * m;
+    for (const CompiledExpr& program : *plan->compiled_atoms) {
+      eval_errors.assign(m, EvalError::kNone);
+      const double* holds =
+          program.Eval(cols.data(), m, eval_errors.data(), &scratch);
+      for (size_t j = 0; j < m; ++j) {
+        if (alive[j] && eval_errors[j] != EvalError::kNone) {
+          fail(j, EvalErrorStatus(eval_errors[j]));
+          alive[j] = 0;
+        }
+        alive[j] &= holds[j] != 0.0;
+      }
+    }
+
+    // Resolve the round. Columns take every lane's draws: a lane still
+    // pending is overwritten by the round that accepts it.
+    for (size_t i = 0; i < nv; ++i) {
+      const double* src = vals.data() + i * m;
+      double* dst = columns.data() + i * len;
+      for (size_t j = 0; j < m; ++j) dst[lanes[j]] = src[j];
+    }
+    const bool compact = lanes == pending.data();
+    size_t still_pending = 0;
+    for (size_t j = 0; j < m; ++j) {
+      const size_t lane = lanes[j];
+      const bool ok = alive[j] != 0;
+      const bool bad = !healthy(j);
+      state[lane] = ok ? Lane::kAccepted : Lane::kPending;
+      attempt_of[lane] = attempt + (ok || bad ? 0 : 1);
+      if (bad) {
+        state[lane] = Lane::kFailed;
+        lane_error[lane] = errors[failed[j] - 1];
+      }
+      if (compact) {
+        pending[still_pending] = lane;
+        still_pending += !ok && !bad;
+      }
+    }
+    if (compact) pending.resize(still_pending);
+    *chunk_draws += m;
+  }
+
+ public:
+  const SamplingEngine* engine;
+  GroupPlan* plan;
+
+ private:
+  const uint64_t first_index;
+  const size_t len;
+  size_t* chunk_draws;  // Draws of every plan of the chunk.
+  const bool armed;     // The Metropolis switch can fire.
+  bool narrow = false;
+
+  // Per lane: state, attempt_of (attempts drawn while pending, else the
+  // deciding attempt), the failure, and accepted draws (var-major).
+  std::vector<Lane> state;
+  std::vector<size_t> attempt_of;
+  std::vector<Status> lane_error;
+  std::vector<double> columns;
+  std::vector<size_t> pending;  // Pending lanes, ascending.
+  std::vector<const VariableInfo*> infos;  // Per plan->vars[i].
+
+  // Round scratch.
+  std::vector<uint64_t> idx;
+  std::vector<double> vals, block, joint, scratch;
+  std::vector<size_t> failed;
+  std::vector<Status> errors;
+  std::vector<uint8_t> alive;
+  std::vector<const double*> cols;
+  std::vector<EvalError> eval_errors;
+};
 
 StatusOr<double> SamplingEngine::EstimateGroupProbability(
     GroupPlan* plan, size_t* total_attempts) const {
@@ -916,105 +1168,33 @@ StatusOr<double> SamplingEngine::EstimateGroupProbability(
     Status status = Status::OK();
   };
   auto run_chunk = [&](uint64_t begin, uint64_t end, HitChunk* out) {
-    size_t budget = ChunkAttemptBudget(end - begin, cap);
-    // Pre-draw the natural (window-free) variables for the whole chunk.
-    // Window-constrained draws stay scalar; each draw is a pure function
-    // of its sample index, so pre-drawn values a truncated chunk never
-    // consumes are invisible to the fold.
-    struct IdBatch {
-      uint64_t var_id = 0;
-      uint32_t ncomp = 1;
-      std::vector<double> values;
-    };
-    const bool use_batch = options_.use_batch_generation;
-    std::vector<IdBatch> batches;
-    if (use_batch) {
-      for (size_t i = 0; i < plan->vars.size(); ++i) {
-        if (plan->cdf_constrained[i]) continue;
-        if (i > 0 && plan->vars[i].var_id == plan->vars[i - 1].var_id) {
-          continue;
-        }
-        IdBatch b;
-        b.var_id = plan->vars[i].var_id;
-        auto info = pool_->Info(b.var_id);
-        if (!info.ok()) {
-          out->status = info.status();
-          return;
-        }
-        b.ncomp = info.value()->num_components;
-        Status s = pool_->GenerateBatch(b.var_id, options_.sample_offset + begin,
-                                        end - begin, kEstimateMarker, &b.values);
-        if (!s.ok()) {
-          out->status = s;
-          return;
-        }
-        batches.push_back(std::move(b));
-      }
+    const size_t budget = ChunkAttemptBudget(end - begin, cap);
+    const uint64_t first = options_.sample_offset + begin;
+    // One attempt per sample: batched, a single round over the chunk.
+    // Draws are pure functions of their sample index, so a round's
+    // lanes past a truncation are invisible to the fold.
+    size_t draws = 0;
+    std::optional<PlanRounds> round;
+    if (options_.use_batch_generation && plan->compiled_atoms != nullptr) {
+      round.emplace(this, plan, first, end - begin, &draws);
+      round->DrawAll(kEstimateMarker);
     }
     std::vector<double> joint;
     Assignment a;
-    for (uint64_t idx = begin; idx < end; ++idx) {
+    for (uint64_t k = 0; k < end - begin; ++k) {
       if (++out->attempts > budget) {
         out->truncated = true;
         return;
       }
-      uint64_t sample_index = options_.sample_offset + idx;
-      size_t bi = 0;  // Walks `batches` in the same order it was filled.
-      for (size_t i = 0; i < plan->vars.size(); ++i) {
-        const VarRef& v = plan->vars[i];
-        if (plan->cdf_constrained[i]) {
-          SampleContext ctx{pool_->seed(), v.var_id, sample_index,
-                            kEstimateMarker};
-          RandomStream stream = ctx.StreamFor(v.component);
-          double u =
-              WindowDraw(&stream, plan->window_lo[i], plan->window_hi[i]);
-          double x;
-          if (plan->quantile_tables[i] != nullptr) {
-            x = plan->quantile_tables[i]->Quantile(u);
-          } else {
-            auto x_or = pool_->InverseCdf(v, u);
-            if (!x_or.ok()) {
-              out->status = x_or.status();
-              return;
-            }
-            x = x_or.value();
-          }
-          a.Set(v, x);
-        } else if (i == 0 ||
-                   plan->vars[i].var_id != plan->vars[i - 1].var_id) {
-          if (use_batch) {
-            const IdBatch& b = batches[bi++];
-            const double* row = b.values.data() + (idx - begin) * b.ncomp;
-            for (uint32_t comp = 0; comp < b.ncomp; ++comp) {
-              a.Set(VarRef{v.var_id, comp}, row[comp]);
-            }
-            continue;
-          }
-          Status s = pool_->GenerateJoint(v.var_id, sample_index,
-                                          kEstimateMarker, &joint);
-          if (!s.ok()) {
-            out->status = s;
-            return;
-          }
-          for (uint32_t comp = 0; comp < joint.size(); ++comp) {
-            a.Set(VarRef{v.var_id, comp}, joint[comp]);
-          }
-        }
-      }
-      bool ok = true;
-      for (const auto& atom : plan->atoms) {
-        auto t = atom.Eval(a);
-        if (!t.ok()) {
-          out->status = t.status();
-          return;
-        }
-        if (!t.value()) {
-          ok = false;
-          break;
-        }
+      StatusOr<bool> hit =
+          round ? round->Outcome(k)
+                : TryAttempt(*plan, first + k, kEstimateMarker, &a, &joint);
+      if (!hit.ok()) {
+        out->status = hit.status();
+        return;
       }
       ++out->n;
-      if (ok) ++out->hits;
+      if (hit.value()) ++out->hits;
     }
   };
 
@@ -1059,109 +1239,180 @@ StatusOr<double> SamplingEngine::EstimateGroupProbability(
   return p * plan->window_prob;
 }
 
-SamplingEngine::ChunkOutcome SamplingEngine::RunExpectationChunk(
-    std::vector<GroupPlan>* plans, const ExprPtr& expr, uint64_t begin,
-    uint64_t end, size_t attempt_budget, size_t chunk_index,
+std::optional<CompiledExpr> SamplingEngine::CompileTarget(
+    const std::vector<GroupPlan>& plans, const ExprPtr& expr) const {
+  std::vector<VarRef> slots;
+  for (const auto& plan : plans) {
+    if (plan.touches_target) {
+      slots.insert(slots.end(), plan.vars.begin(), plan.vars.end());
+    }
+  }
+  return CompiledExpr::Compile(*expr, slots);
+}
+
+SamplingEngine::ChunkOutcome SamplingEngine::SampleChunk(
+    std::vector<GroupPlan>* plans, const ExprPtr& expr,
+    const CompiledExpr* target, uint64_t begin, uint64_t end,
+    size_t attempt_budget, size_t chunk_index,
     std::atomic<uint64_t>* first_collapsed) const {
   ChunkOutcome out;
   std::vector<size_t> accepted0(plans->size()), attempts0(plans->size());
+  // Chains draw one sample at a time, and trees that do not compile are
+  // evaluated per sample: both take the scalar loop.
+  bool batched = options_.use_batch_generation && target != nullptr;
+  std::vector<size_t> targets;
   for (size_t g = 0; g < plans->size(); ++g) {
-    accepted0[g] = (*plans)[g].accepted;
-    attempts0[g] = (*plans)[g].attempts;
-  }
-  // Batched fast path: when every target group deterministically accepts
-  // each sample on its first attempt (no atoms / windows / chain), draw
-  // the chunk's whole range in one GenerateBatch call per variable and
-  // keep the scalar loop's counter arithmetic per index — bit-identical
-  // output, one virtual call per (plan, var) per chunk instead of per
-  // sample.
-  PlanBatches batches;
-  const bool use_batch = BatchEligible(*plans);
-  if (use_batch) {
-    Status s = FillPlanBatches(*plans, options_.sample_offset + begin,
-                               end - begin, /*attempt=*/0, &batches);
-    if (!s.ok()) {
-      out.status = s;
-      out.group_accepted.resize(plans->size());
-      out.group_attempts.resize(plans->size());
-      return out;
+    const GroupPlan& plan = (*plans)[g];
+    accepted0[g] = plan.accepted;
+    attempts0[g] = plan.attempts;
+    if (!plan.touches_target) continue;
+    targets.push_back(g);
+    if (plan.metropolis != nullptr || plan.compiled_atoms == nullptr) {
+      batched = false;
     }
   }
+  auto finish = [&] {
+    out.group_accepted.resize(plans->size());
+    out.group_attempts.resize(plans->size());
+    for (size_t g = 0; g < plans->size(); ++g) {
+      out.group_accepted[g] = (*plans)[g].accepted - accepted0[g];
+      out.group_attempts[g] = (*plans)[g].attempts - attempts0[g];
+    }
+    return std::move(out);
+  };
   Assignment assignment;
-  for (uint64_t i = begin; i < end; ++i) {
-    // A strictly earlier chunk's budget genuinely collapsed: the
-    // in-order fold stops before ever reading this chunk, so stop
-    // burning its budget. Strictly-earlier matters: chunks before the
-    // minimal collapsed index never abort, keeping the fold's view of
-    // them — and hence the visible result — bit-identical to a serial
-    // run.
+  if (!batched) {
+    ScalarSamples(plans, expr, begin, 0, end, attempt_budget, chunk_index,
+                  first_collapsed, &assignment, &out);
+    return finish();
+  }
+
+  const size_t len = end - begin;
+  size_t chunk_draws = 0;
+  std::vector<PlanRounds> rounds;
+  rounds.reserve(targets.size());
+  for (size_t g : targets) {
+    rounds.emplace_back(this, &(*plans)[g], options_.sample_offset + begin,
+                        len, &chunk_draws);
+  }
+  // Target values, computed column-wise for runs of lanes every plan
+  // accepted; lanes [k, ready) have theirs.
+  std::vector<double> values(len);
+  std::vector<EvalError> eval_errors(values.size(), EvalError::kNone);
+  std::vector<const double*> cols;
+  std::vector<double> scratch;
+  size_t ready = 0;
+  out.values.reserve(len);
+  for (size_t k = 0; k < len; ++k) {
+    // A strictly earlier chunk's budget genuinely collapsed: the in-order
+    // fold stops before ever reading this chunk, so stop burning its
+    // budget. Strictly-earlier matters: chunks before the minimal
+    // collapsed index never abort, keeping the fold's view of them — and
+    // hence the visible result — bit-identical to a serial run.
     if (first_collapsed != nullptr &&
         first_collapsed->load(std::memory_order_relaxed) < chunk_index) {
       out.collapsed = true;
-      break;
+      return finish();
     }
-    assignment.Clear();
-    bool got_all = true;
-    if (use_batch) {
-      // Mirrors SampleGroupOnce's accept-on-first-attempt arithmetic:
-      // budget check, then the per-plan attempt, then acceptance.
-      for (size_t g = 0; g < plans->size(); ++g) {
-        auto& plan = (*plans)[g];
-        if (!plan.touches_target) continue;
-        if (++out.attempts > attempt_budget) {
-          got_all = false;
-          break;
-        }
-        ++plan.attempts;
-        for (const auto& vb : batches.per_plan[g]) {
-          const double* row = vb.values.data() + (i - begin) * vb.ncomp;
-          for (uint32_t comp = 0; comp < vb.ncomp; ++comp) {
-            assignment.Set(VarRef{vb.var_id, comp}, row[comp]);
-          }
-        }
-        ++plan.accepted;
+    for (size_t t = 0; t < rounds.size(); ++t) {
+      Status error;
+      auto verdict =
+          rounds[t].Consume(k, &out.attempts, attempt_budget, &error);
+      if (verdict == PlanRounds::Verdict::kAccepted) continue;
+      if (verdict == PlanRounds::Verdict::kFailed) {
+        out.status = std::move(error);
+        return finish();
       }
-    } else {
-      for (auto& plan : *plans) {
-        if (!plan.touches_target) continue;
-        auto ok = SampleGroupOnce(&plan, options_.sample_offset + i,
-                                  &assignment, &out.attempts, attempt_budget);
-        if (!ok.ok()) {
-          out.status = ok.status();
-          break;
+      if (verdict == PlanRounds::Verdict::kMetropolis) {
+        // The group switches to a chain mid-sample: hand the rest of the
+        // chunk to the scalar path, with this sample's earlier groups
+        // already drawn.
+        assignment.Clear();
+        for (size_t u = 0; u < t; ++u) rounds[u].Export(k, &assignment);
+        auto started = StartMetropolis(rounds[t].plan, &assignment);
+        if (!started.ok()) {
+          out.status = started.status();
+          return finish();
         }
-        if (!ok.value()) {
-          got_all = false;
-          break;
+        if (started.value()) {
+          ScalarSamples(plans, expr, begin + k, targets[t] + 1, end,
+                        attempt_budget, chunk_index, first_collapsed,
+                        &assignment, &out);
+          return finish();
         }
       }
-    }
-    if (!out.status.ok()) break;
-    if (!got_all) {
+      // The budget tripped, or the chain found no start point.
       out.collapsed = true;
-      if (first_collapsed != nullptr) {
-        uint64_t cur = first_collapsed->load(std::memory_order_relaxed);
-        while (chunk_index < cur &&
-               !first_collapsed->compare_exchange_weak(
-                   cur, chunk_index, std::memory_order_relaxed)) {
+      NoteCollapse(chunk_index, first_collapsed);
+      return finish();
+    }
+    if (k >= ready) {
+      // Every plan already accepted lanes [k, ready): evaluate them at once.
+      ready = k + 1;
+      auto all_accepted = [&](size_t lane) {
+        return std::all_of(
+            rounds.begin(), rounds.end(),
+            [&](const PlanRounds& r) { return r.accepted(lane); });
+      };
+      while (ready < len && all_accepted(ready)) ++ready;
+      cols.clear();
+      for (const PlanRounds& r : rounds) {
+        for (size_t i = 0; i < r.plan->vars.size(); ++i) {
+          cols.push_back(r.column(i) + k);
         }
       }
-      break;
+      const double* v = target->Eval(cols.data(), ready - k,
+                                     eval_errors.data() + k, &scratch);
+      std::copy(v, v + (ready - k), values.begin() + k);
     }
-    auto value = expr->EvalDouble(assignment);
+    if (eval_errors[k] != EvalError::kNone) {
+      out.status = EvalErrorStatus(eval_errors[k]);
+      return finish();
+    }
+    out.values.push_back(values[k]);
+  }
+  return finish();
+}
+
+void SamplingEngine::ScalarSamples(std::vector<GroupPlan>* plans,
+                                   const ExprPtr& expr, uint64_t i,
+                                   size_t first_plan, uint64_t end,
+                                   size_t attempt_budget, size_t chunk_index,
+                                   std::atomic<uint64_t>* first_collapsed,
+                                   Assignment* assignment,
+                                   ChunkOutcome* out) const {
+  for (; i < end; ++i, first_plan = 0) {
+    if (first_plan == 0) {
+      // See SampleChunk for the abort rule.
+      if (first_collapsed != nullptr &&
+          first_collapsed->load(std::memory_order_relaxed) < chunk_index) {
+        out->collapsed = true;
+        return;
+      }
+      assignment->Clear();
+    }
+    for (size_t g = first_plan; g < plans->size(); ++g) {
+      auto& plan = (*plans)[g];
+      if (!plan.touches_target) continue;
+      auto ok = SampleGroupOnce(&plan, options_.sample_offset + i, assignment,
+                                &out->attempts, attempt_budget);
+      if (!ok.ok()) {
+        out->status = ok.status();
+        return;
+      }
+      if (!ok.value()) {
+        out->collapsed = true;
+        NoteCollapse(chunk_index, first_collapsed);
+        return;
+      }
+    }
+    auto value = expr->EvalDouble(*assignment);
     if (!value.ok()) {
-      out.status = value.status();
-      break;
+      out->status = value.status();
+      return;
     }
-    out.stats.Add(value.value());
+    out->values.push_back(value.value());
   }
-  out.group_accepted.resize(plans->size());
-  out.group_attempts.resize(plans->size());
-  for (size_t g = 0; g < plans->size(); ++g) {
-    out.group_accepted[g] = (*plans)[g].accepted - accepted0[g];
-    out.group_attempts[g] = (*plans)[g].attempts - attempts0[g];
-  }
-  return out;
 }
 
 StatusOr<ExpectationResult> SamplingEngine::Expectation(
@@ -1250,16 +1501,17 @@ StatusOr<ExpectationResult> SamplingEngine::Expectation(
     // as the folded shards exceed the configured budget — at a
     // deterministic chunk index, independent of thread count.
     Status chunk_error = Status::OK();
+    const std::optional<CompiledExpr> target = CompileTarget(plans, expr);
     RunPilotedSchedule<ChunkOutcome>(
         &plans, schedule_len,
         [&](std::vector<GroupPlan>* ps, size_t c, uint64_t begin,
             uint64_t end, size_t budget, ChunkOutcome* out) {
-          *out = RunExpectationChunk(ps, expr, begin, end, budget, c,
-                                     &first_collapsed);
+          *out = SampleChunk(ps, expr, target ? &*target : nullptr, begin,
+                             end, budget, c, &first_collapsed);
+          for (double v : out->values) out->stats.Add(v);
         },
         [&](const ChunkOutcome& pilot) {
-          return std::make_pair(static_cast<size_t>(pilot.stats.count()),
-                                pilot.attempts);
+          return std::make_pair(pilot.values.size(), pilot.attempts);
         },
         [&](size_t, ChunkOutcome& o, bool cloned) {
           // Chunk-fold barrier: cooperative cancellation poll. The
@@ -1509,11 +1761,6 @@ StatusOr<std::vector<double>> SamplingEngine::SampleConditional(
   const size_t chunk = std::max<size_t>(1, options_.chunk_samples);
   samples.assign(n, 0.0);
 
-  struct CondChunk {
-    size_t produced = 0;
-    size_t attempts = 0;
-    Status status = Status::OK();
-  };
   // Index of the first chunk whose budget genuinely collapsed
   // (deterministic per chunk). Chunks strictly after it abort early —
   // the fold truncates the result before them anyway, so the visible
@@ -1521,78 +1768,7 @@ StatusOr<std::vector<double>> SamplingEngine::SampleConditional(
   // the expectation loop, a plain "someone collapsed" flag would be
   // wrong here: an *earlier* chunk aborting would shorten the prefix.)
   std::atomic<uint64_t> first_truncated{UINT64_MAX};
-  // Writes values for indices [begin, end) into their slots; stops early
-  // on budget collapse (producing a prefix) or error.
-  auto run_chunk = [&](std::vector<GroupPlan>* ps, size_t chunk_index,
-                       uint64_t begin, uint64_t end, size_t budget,
-                       CondChunk* out) {
-    // Batched draw path, same contract as RunExpectationChunk.
-    PlanBatches batches;
-    const bool use_batch = BatchEligible(*ps);
-    if (use_batch) {
-      Status s = FillPlanBatches(*ps, options_.sample_offset + begin,
-                                 end - begin, /*attempt=*/0, &batches);
-      if (!s.ok()) {
-        out->status = s;
-        return;
-      }
-    }
-    Assignment assignment;
-    for (uint64_t i = begin; i < end; ++i) {
-      if (first_truncated.load(std::memory_order_relaxed) < chunk_index) {
-        return;  // Discarded by the fold; stop burning budget.
-      }
-      assignment.Clear();
-      bool got_all = true;
-      if (use_batch) {
-        for (size_t g = 0; g < ps->size(); ++g) {
-          auto& plan = (*ps)[g];
-          if (!plan.touches_target) continue;
-          if (++out->attempts > budget) {
-            got_all = false;
-            break;
-          }
-          ++plan.attempts;
-          for (const auto& vb : batches.per_plan[g]) {
-            const double* row = vb.values.data() + (i - begin) * vb.ncomp;
-            for (uint32_t comp = 0; comp < vb.ncomp; ++comp) {
-              assignment.Set(VarRef{vb.var_id, comp}, row[comp]);
-            }
-          }
-          ++plan.accepted;
-        }
-      } else {
-        for (auto& plan : *ps) {
-          if (!plan.touches_target) continue;
-          auto ok = SampleGroupOnce(&plan, options_.sample_offset + i,
-                                    &assignment, &out->attempts, budget);
-          if (!ok.ok()) {
-            out->status = ok.status();
-            return;
-          }
-          if (!ok.value()) {
-            got_all = false;
-            break;
-          }
-        }
-      }
-      if (!got_all) {
-        uint64_t cur = first_truncated.load(std::memory_order_relaxed);
-        while (chunk_index < cur &&
-               !first_truncated.compare_exchange_weak(
-                   cur, chunk_index, std::memory_order_relaxed)) {
-        }
-        return;
-      }
-      auto value = expr->EvalDouble(assignment);
-      if (!value.ok()) {
-        out->status = value.status();
-        return;
-      }
-      samples[i] = value.value();
-      ++out->produced;
-    }
-  };
+  const std::optional<CompiledExpr> target = CompileTarget(plans, expr);
 
   // Pilot shard (Metropolis decision scope), then chain-serial or
   // parallel remainder — the shared driver, so the determinism schedule
@@ -1603,16 +1779,20 @@ StatusOr<std::vector<double>> SamplingEngine::SampleConditional(
   size_t total = 0;
   size_t ledger = 0;
   Status chunk_error = Status::OK();
-  RunPilotedSchedule<CondChunk>(
+  RunPilotedSchedule<ChunkOutcome>(
       &plans, n,
       [&](std::vector<GroupPlan>* ps, size_t c, uint64_t begin, uint64_t end,
-          size_t budget, CondChunk* out) {
-        run_chunk(ps, c, begin, end, budget, out);
+          size_t budget, ChunkOutcome* out) {
+        // Values land in their slots; a collapse leaves a prefix.
+        *out = SampleChunk(ps, expr, target ? &*target : nullptr, begin, end,
+                           budget, c, &first_truncated);
+        std::copy(out->values.begin(), out->values.end(),
+                  samples.begin() + begin);
       },
-      [&](const CondChunk& pilot) {
-        return std::make_pair(pilot.produced, pilot.attempts);
+      [&](const ChunkOutcome& pilot) {
+        return std::make_pair(pilot.values.size(), pilot.attempts);
       },
-      [&](size_t c, CondChunk& o, bool) {
+      [&](size_t c, ChunkOutcome& o, bool) {
         // Chunk-fold barrier: cooperative cancellation poll (see
         // SamplingOptions::cancel_check).
         if (options_.cancel_check && options_.cancel_check()) {
@@ -1623,13 +1803,13 @@ StatusOr<std::vector<double>> SamplingEngine::SampleConditional(
           chunk_error = o.status;
           return false;
         }
-        total += o.produced;
+        total += o.values.size();
         ledger += o.attempts;
         uint64_t begin = static_cast<uint64_t>(c) * chunk;
         uint64_t end = std::min<uint64_t>(n, begin + chunk);
         // Short chunk or exhausted call ledger: the visible result is
         // the prefix produced so far.
-        return o.produced == end - begin &&
+        return o.values.size() == end - begin &&
                ledger <= options_.max_total_attempts;
       });
   PIP_RETURN_IF_ERROR(chunk_error);

@@ -28,6 +28,7 @@
 #include "src/constraints/consistency.h"
 #include "src/constraints/independence.h"
 #include "src/dist/variable_pool.h"
+#include "src/expr/compiled_expr.h"
 #include "src/expr/condition.h"
 #include "src/expr/expr.h"
 #include "src/index/expectation_index.h"
@@ -83,11 +84,12 @@ struct SamplingOptions {
   bool use_cdf_sampling = true;    ///< Inverse-CDF constrained sampling.
   bool use_independence = true;    ///< Minimal independent subset sampling.
   bool use_metropolis = true;      ///< MCMC fallback for tiny acceptance.
-  /// Batched draw kernels: unconstrained sampling loops request each
-  /// chunk's whole sample range in one GenerateBatch call per variable
-  /// instead of one virtual Generate per sample. Bit-identical to the
-  /// scalar path by the batch-draw contract (see README); off reproduces
-  /// the per-sample loop for the scalar-vs-batch ablation benches.
+  /// Batched draws: sampling loops request a chunk's sample indices in
+  /// one GenerateBatch call per variable instead of one virtual Generate
+  /// per sample, and rejection sampling runs in gather rounds tested by
+  /// compiled atoms. Bit-identical to the scalar path by the batch-draw
+  /// contract (see README); off reproduces the per-sample loop for the
+  /// scalar-vs-batch ablation benches.
   bool use_batch_generation = true;
   /// Exact numeric integration of single-variable expectations ("the
   /// expectation operator can ... potentially even sidestep [sampling]
@@ -256,7 +258,7 @@ class SamplingEngine {
  private:
   struct GroupPlan;
   struct ChunkOutcome;
-  struct PlanBatches;
+  struct PlanRounds;
 
   /// Builds per-group strategy plans. Sets *inconsistent when the
   /// condition is unsatisfiable. Structure-only planning decisions come
@@ -265,43 +267,70 @@ class SamplingEngine {
                                               const VarSet& target_vars,
                                               bool* inconsistent) const;
 
-  /// Samples one accepted joint draw for a group. Returns false when the
-  /// attempt budget collapsed without acceptance (caller decides whether
-  /// that means "unsatisfiable" or "switch to Metropolis").
-  /// `attempt_budget` bounds *total_attempts for this shard.
+  /// Samples one accepted joint draw for a group, one attempt at a time.
+  /// Returns false when the attempt budget collapsed without acceptance
+  /// (caller decides whether that means "unsatisfiable" or "switch to
+  /// Metropolis"). `attempt_budget` bounds *total_attempts for this
+  /// shard. The chain path and the scalar reference of the batched
+  /// rounds in SampleChunk, whose counter replay mirrors it exactly.
   StatusOr<bool> SampleGroupOnce(GroupPlan* plan, uint64_t sample_index,
                                  Assignment* assignment,
                                  size_t* total_attempts,
                                  size_t attempt_budget) const;
 
-  /// Runs the expectation sampling loop over sample indices
-  /// [begin, end) against `plans` (only target-touching groups sample),
-  /// as chunk `chunk_index` of the schedule. On a genuine budget
-  /// collapse the chunk lowers *first_collapsed to its own index;
-  /// chunks strictly after the recorded index abort early (their
-  /// outcomes are discarded by the in-order fold, so the abort never
-  /// shows in results — see SampleConditional for why a plain boolean
-  /// flag would not be order-safe).
-  ChunkOutcome RunExpectationChunk(std::vector<GroupPlan>* plans,
-                                   const ExprPtr& expr, uint64_t begin,
-                                   uint64_t end, size_t attempt_budget,
-                                   size_t chunk_index,
-                                   std::atomic<uint64_t>* first_collapsed)
-      const;
+  /// One scalar rejection attempt: draws every variable of `plan` at
+  /// (sample_index, attempt) into *assignment and tests the group's atoms
+  /// in order. `joint` is scratch for multivariate draws.
+  StatusOr<bool> TryAttempt(const GroupPlan& plan, uint64_t sample_index,
+                            uint64_t attempt, Assignment* assignment,
+                            std::vector<double>* joint) const;
 
-  /// True when every target-touching plan can take the batched draw path
-  /// for a whole chunk: no Metropolis chain, no atoms to re-check, no CDF
-  /// windows — i.e. the scalar loop would deterministically accept every
-  /// sample on its first attempt, so pre-drawing the chunk's whole range
-  /// per variable is observationally identical.
-  bool BatchEligible(const std::vector<GroupPlan>& plans) const;
+  /// Alg. 4.3's Metropolis switch test, made after each rejected
+  /// attempt: the group's lifetime rejection rate crossed the threshold
+  /// (pilot plans only — shard clones never switch) and a chain can run
+  /// over its variables.
+  bool MetropolisDue(const GroupPlan& plan) const;
 
-  /// Pre-draws `len` consecutive samples starting at absolute index
-  /// `sample_begin` (attempt `attempt`) for every variable of every
-  /// target-touching plan, one GenerateBatch call per (plan, var_id).
-  Status FillPlanBatches(const std::vector<GroupPlan>& plans,
-                         uint64_t sample_begin, uint64_t len,
-                         uint64_t attempt, PlanBatches* out) const;
+  /// Seeds the group's chain and takes its first sample into
+  /// *assignment. False when the chain finds no start point.
+  StatusOr<bool> StartMetropolis(GroupPlan* plan,
+                                 Assignment* assignment) const;
+
+  /// The chunk sampler behind Expectation and SampleConditional: draws
+  /// sample indices [begin, end) of the schedule against `plans` (only
+  /// target-touching groups sample) as chunk `chunk_index`, appending
+  /// each sample's target value to the outcome in index order until the
+  /// first collapse or error. When no group has a Metropolis chain and
+  /// `target` and every atom compiled, groups draw in gather rounds and
+  /// test `target` and the atoms column-wise; the counter replay keeps
+  /// every result bit-identical to the scalar loop (use_batch_generation
+  /// off), which serves every other chunk. On
+  /// a genuine budget collapse the chunk lowers *first_collapsed to its
+  /// own index; chunks strictly after the recorded index abort early
+  /// (their outcomes are discarded by the in-order fold, so the abort
+  /// never shows in results — see SampleConditional for why a plain
+  /// boolean flag would not be order-safe).
+  ChunkOutcome SampleChunk(std::vector<GroupPlan>* plans, const ExprPtr& expr,
+                           const CompiledExpr* target, uint64_t begin,
+                           uint64_t end, size_t attempt_budget,
+                           size_t chunk_index,
+                           std::atomic<uint64_t>* first_collapsed) const;
+
+  /// SampleChunk's scalar loop, entered at schedule index `i` and plan
+  /// position `first_plan` with the earlier plans' draws of sample i
+  /// already in *assignment (a mid-sample handover from the rounds when
+  /// a group switches to Metropolis).
+  void ScalarSamples(std::vector<GroupPlan>* plans, const ExprPtr& expr,
+                     uint64_t i, size_t first_plan, uint64_t end,
+                     size_t attempt_budget, size_t chunk_index,
+                     std::atomic<uint64_t>* first_collapsed,
+                     Assignment* assignment, ChunkOutcome* out) const;
+
+  /// The target program over the target-touching plans' variables in
+  /// plan order (SampleChunk's column layout); nullopt when `expr` does
+  /// not compile.
+  std::optional<CompiledExpr> CompileTarget(
+      const std::vector<GroupPlan>& plans, const ExprPtr& expr) const;
 
   /// Attempt budget for one shard of `chunk_len` samples out of a
   /// schedule of `schedule_len`. The pilot shard (chunk 0) gets the full

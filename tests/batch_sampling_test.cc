@@ -9,10 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/random.h"
@@ -30,6 +34,12 @@ uint64_t Bits(double x) {
   uint64_t b;
   std::memcpy(&b, &x, sizeof(b));
   return b;
+}
+
+double FromBits(uint64_t b) {
+  double x;
+  std::memcpy(&x, &b, sizeof(x));
+  return x;
 }
 
 // ---------------------------------------------------------------------------
@@ -110,6 +120,55 @@ TEST(GenerateBatchTest, SplitBatchesConcatenateToOneBatch) {
     }
     for (size_t i = 0; i < hi.size(); ++i) {
       EXPECT_EQ(Bits(hi[i]), Bits(whole[lo.size() + i]));
+    }
+  }
+}
+
+TEST(GenerateBatchTest, IndexListMatchesScalarAtAnyIndexOrder) {
+  // Rejection rounds hand kernels the still-pending lanes: gaps,
+  // descending runs and repeats must all read exactly the scalar draw.
+  VariablePool pool(4321);
+  std::vector<uint64_t> long_list;  // Crosses the kernels' stack blocks.
+  for (uint64_t k = 0; k < 600; ++k) long_list.push_back(7 * (600 - k));
+  const std::vector<uint64_t> lists[] = {
+      {0, 2, 3, 7, 11, 12, 40, 63},    // Non-contiguous.
+      {900, 450, 17, 16, 15, 3, 0},    // Descending.
+      {5, 5, 8, 5, 1000000007, 8, 5},  // Repeated.
+      {123456},                        // A single lane.
+      long_list,
+  };
+  for (const BuiltinCase& c : AllBuiltins()) {
+    SCOPED_TRACE(c.cls);
+    VarRef v = pool.Create(c.cls, c.params).value();
+    const uint64_t d = pool.Info(v.var_id).value()->num_components;
+    for (uint64_t attempt : {uint64_t{0}, uint64_t{1}, uint64_t{37}}) {
+      for (const auto& idx : lists) {
+        std::vector<double> batch(idx.size() * d);
+        ASSERT_TRUE(pool.GenerateBatch(v.var_id, idx.data(), idx.size(),
+                                       attempt, batch.data())
+                        .ok());
+        std::vector<double> joint;
+        for (size_t k = 0; k < idx.size(); ++k) {
+          ASSERT_TRUE(
+              pool.GenerateJoint(v.var_id, idx[k], attempt, &joint).ok());
+          for (uint64_t comp = 0; comp < d; ++comp) {
+            EXPECT_EQ(Bits(batch[k * d + comp]), Bits(joint[comp]))
+                << "index " << idx[k] << " attempt " << attempt << " comp "
+                << comp;
+          }
+        }
+      }
+      // The contiguous wrapper walks its range in blocks of index lists.
+      std::vector<double> range, joint;
+      ASSERT_TRUE(pool.GenerateBatch(v.var_id, 77, 600, attempt, &range).ok());
+      ASSERT_EQ(range.size(), 600 * d);
+      for (uint64_t k = 0; k < 600; ++k) {
+        ASSERT_TRUE(pool.GenerateJoint(v.var_id, 77 + k, attempt, &joint).ok());
+        for (uint64_t comp = 0; comp < d; ++comp) {
+          EXPECT_EQ(Bits(range[k * d + comp]), Bits(joint[comp]))
+              << "index " << 77 + k << " comp " << comp;
+        }
+      }
     }
   }
 }
@@ -219,6 +278,236 @@ TEST_F(EngineBatchTest, JointConfidenceBitIdenticalAcrossToggle) {
                            .value();
       EXPECT_EQ(Bits(scalar), Bits(batched));
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Constrained groups: gather rounds + counter replay are bitwise invisible
+// ---------------------------------------------------------------------------
+
+/// Every field of an ExpectationResult as raw words, so equality is a
+/// memcmp of the values (NaN payloads included) without struct padding.
+std::array<uint64_t, 5> Words(const ExpectationResult& r) {
+  return {Bits(r.expectation), Bits(r.probability), r.samples_used,
+          r.attempts, r.exact ? 1u : 0u};
+}
+
+class RejectionBatchTest : public ::testing::Test {
+ protected:
+  /// Scalar on one thread is the reference; batch on and off must match
+  /// it at 1, 2 and 8 threads. Returns the reference.
+  template <typename Run>
+  auto ExpectAllModesMatch(const SamplingOptions& base, const Run& run) {
+    SamplingOptions ref_opts = base;
+    ref_opts.use_batch_generation = false;
+    ref_opts.num_threads = 1;
+    const auto reference = run(db_.MakeEngine(ref_opts));
+    for (bool batch : {false, true}) {
+      for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+        SCOPED_TRACE(std::string("batch=") + (batch ? "on" : "off") +
+                     " threads=" + std::to_string(threads));
+        SamplingOptions o = base;
+        o.use_batch_generation = batch;
+        o.num_threads = threads;
+        EXPECT_EQ(run(db_.MakeEngine(o)), reference);
+      }
+    }
+    return reference;
+  }
+
+  /// Expectation with P[condition], as words (or the error status).
+  std::function<std::pair<std::array<uint64_t, 5>, std::string>(
+      const SamplingEngine&)>
+  ExpectationOf(ExprPtr expr, Condition cond) {
+    return [expr, cond](const SamplingEngine& engine) {
+      auto r = engine.Expectation(expr, cond, /*compute_probability=*/true);
+      if (!r.ok()) {
+        return std::make_pair(std::array<uint64_t, 5>{},
+                              r.status().ToString());
+      }
+      return std::make_pair(Words(r.value()), std::string());
+    };
+  }
+
+  static SamplingOptions Fixed(size_t samples) {
+    SamplingOptions o;
+    o.fixed_samples = samples;
+    o.use_numeric_integration = false;
+    return o;
+  }
+
+  ExprPtr Var(const char* cls, std::vector<double> params) {
+    return Expr::Var(db_.pool()->Create(cls, std::move(params)).value());
+  }
+
+  Database db_{2010};
+};
+
+TEST_F(RejectionBatchTest, Q5ShapeTwoVariableAtom) {
+  for (double rate : {0.05, 0.3, 1.5}) {
+    SCOPED_TRACE("rate=" + std::to_string(rate));
+    ExprPtr demand = Var("Poisson", {6.0});
+    ExprPtr supply = Var("Exponential", {rate});
+    ExpectAllModesMatch(
+        Fixed(1000), ExpectationOf((demand - supply) * Expr::Constant(1.5),
+                                   Condition(demand > supply)));
+  }
+}
+
+TEST_F(RejectionBatchTest, AdaptiveStoppingQ5Shape) {
+  ExprPtr demand = Var("Poisson", {4.0});
+  ExprPtr supply = Var("Exponential", {0.4});
+  SamplingOptions o;
+  o.use_numeric_integration = false;
+  ExpectAllModesMatch(o, ExpectationOf(demand - supply,
+                                       Condition(demand > supply)));
+}
+
+TEST_F(RejectionBatchTest, CdfWindowPlusAtom) {
+  // Q4 shape: the window draws pop from (Cdf(T), 1] and the atom is
+  // re-checked on every draw.
+  ExprPtr demand = Var("Poisson", {3.0});
+  ExprPtr pop = Var("Exponential", {1.0});
+  ExpectAllModesMatch(Fixed(700), ExpectationOf(demand * pop,
+                                                Condition(pop > Expr::Constant(
+                                                                    1.25))));
+  // A finite discrete variable with a per-plan quantile table, its window
+  // from z >= 4, rejected further by a two-variable atom.
+  ExprPtr z = Var("Zipf", {1.1, 50.0});
+  ExprPtr x = Var("Normal", {8.0, 3.0});
+  Condition cond(z >= Expr::Constant(4.0));
+  cond.AddAtom(z + x > Expr::Constant(16.0));
+  ExpectAllModesMatch(Fixed(700), ExpectationOf(z * x, cond));
+  // A windowed group the target does not touch: P[condition] takes the
+  // group-probability estimator's one-round-per-chunk path.
+  ExprPtr w = Var("Exponential", {0.5});
+  ExprPtr v = Var("Normal", {1.0, 1.0});
+  Condition side(pop > Expr::Constant(1.25));
+  side.AddAtom(w > Expr::Constant(0.5));
+  side.AddAtom(w * v < Expr::Constant(2.0));
+  ExpectAllModesMatch(Fixed(700), ExpectationOf(demand * pop, side));
+}
+
+TEST_F(RejectionBatchTest, TwoTargetGroupsShareTheAttemptLedger) {
+  ExprPtr a = Var("Normal", {0.0, 1.0});
+  ExprPtr b = Var("Normal", {0.5, 1.0});
+  ExprPtr c = Var("Exponential", {1.0});
+  ExprPtr d = Var("Uniform", {0.0, 0.7});
+  Condition cond(a > b);
+  cond.AddAtom(c < d);
+  ExpectAllModesMatch(Fixed(900), ExpectationOf(a + c * Expr::Constant(3.0),
+                                                cond));
+}
+
+TEST_F(RejectionBatchTest, BudgetCollapseTripsAtTheSameAttempt) {
+  // Acceptance ~3%: tiny budgets trip inside the pilot, mid-lane, inside
+  // later chunks' shares, or not at all.
+  ExprPtr x = Var("Normal", {0.0, 1.0});
+  ExprPtr y = Var("Normal", {0.0, 1.0});
+  for (size_t budget : {size_t{1}, size_t{40}, size_t{333}, size_t{2500},
+                        size_t{1000000}}) {
+    SCOPED_TRACE("budget=" + std::to_string(budget));
+    SamplingOptions o = Fixed(1500);
+    o.max_total_attempts = budget;
+    o.use_metropolis = false;
+    auto r = ExpectAllModesMatch(
+        o, ExpectationOf(x * y, Condition(x - y > Expr::Constant(2.6))));
+    // Small budgets collapse to (NaN, 0); the largest one completes.
+    EXPECT_EQ(std::isnan(FromBits(r.first[0])), budget < 1000000);
+  }
+}
+
+TEST_F(RejectionBatchTest, MetropolisSwitchInsidePilot) {
+  // P[x - y > 4.1] ~ 0.19%: the pilot's rejection rate crosses 0.995
+  // after 2000 attempts, the chain takes over mid-chunk, and later chunks
+  // run on the chain path.
+  ExprPtr x = Var("Normal", {0.0, 1.0});
+  ExprPtr y = Var("Normal", {0.0, 1.0});
+  Condition cond(x - y > Expr::Constant(4.1));
+  for (size_t chunk : {size_t{64}, size_t{500}}) {
+    SCOPED_TRACE("chunk=" + std::to_string(chunk));
+    SamplingOptions o = Fixed(600);
+    o.chunk_samples = chunk;
+    auto r = ExpectAllModesMatch(o, ExpectationOf(x + y, cond));
+    // Pure rejection would need ~300k attempts; the chain stops them.
+    EXPECT_FALSE(std::isnan(FromBits(r.first[0])));
+    EXPECT_LT(r.first[3], 100000u);
+  }
+  // The switch fires mid-sample for a second group that follows a
+  // batched one: the first group's draws must reach the chain path.
+  ExprPtr u = Var("Uniform", {0.0, 1.0});
+  ExprPtr w = Var("Uniform", {0.0, 1.0});
+  Condition both(u > w);
+  both.AddAtom(x - y > Expr::Constant(4.1));
+  auto r = ExpectAllModesMatch(Fixed(300), ExpectationOf(u + x, both));
+  EXPECT_LT(r.first[3], 100000u);
+}
+
+TEST_F(RejectionBatchTest, AtomErrorsReportTheSameStatus) {
+  // Poisson(0.7) is zero about half the time: the first such draw that
+  // reaches the atom divides by zero.
+  ExprPtr k = Var("Poisson", {0.7});
+  ExprPtr y = Var("Normal", {0.0, 1.0});
+  auto run = ExpectationOf(y, Condition(y / k > Expr::Constant(0.2)));
+  ExpectAllModesMatch(Fixed(400), run);
+  SamplingOptions o = Fixed(400);
+  o.num_threads = 1;
+  const auto result = run(db_.MakeEngine(o));
+  EXPECT_NE(result.second.find("division by zero"), std::string::npos)
+      << result.second;
+  // log of a non-positive draw, behind an atom that passes first.
+  ExprPtr n = Var("Normal", {1.0, 1.0});
+  Condition cond(n < Expr::Constant(5.0));
+  cond.AddAtom(Expr::Func(FuncKind::kLog, n) > y);
+  auto logged = ExpectAllModesMatch(Fixed(400), ExpectationOf(n, cond));
+  EXPECT_NE(logged.second.find("log of non-positive"), std::string::npos)
+      << logged.second;
+}
+
+TEST_F(RejectionBatchTest, MultivariateComponentsShareOneKernelCall) {
+  // Both components come from one sample-major MVNormal block per round.
+  VarRef base =
+      db_.pool()->Create("MVNormal", {2.0, 0.0, 0.0, 1.0, 0.6, 0.6, 1.0})
+          .value();
+  ExprPtr m0 = Expr::Var(base);
+  ExprPtr m1 = Expr::Var(db_.pool()->Component(base, 1).value());
+  ExprPtr y = Var("Exponential", {1.0});
+  Condition cond(m0 > m1 + Expr::Constant(0.5));
+  cond.AddAtom(m1 < y);
+  ExpectAllModesMatch(Fixed(600), ExpectationOf(m0 * m1 - y, cond));
+}
+
+TEST_F(RejectionBatchTest, UncompiledTreesFallBackPerLane) {
+  // A string constant keeps the atom on Value semantics (a double is
+  // never equal to a string), and a boolean constant keeps the target
+  // on Value::AsDouble.
+  ExprPtr x = Var("Normal", {0.0, 1.0});
+  ExprPtr y = Var("Exponential", {2.0});
+  Condition cond(x > y);
+  cond.AddAtom(x != Expr::String("a"));
+  ExpectAllModesMatch(Fixed(500), ExpectationOf(x - y, cond));
+  ExpectAllModesMatch(
+      Fixed(500),
+      ExpectationOf(x + Expr::Constant(Value(true)), Condition(x > y)));
+}
+
+TEST_F(RejectionBatchTest, SampleConditionalPrefixTruncation) {
+  ExprPtr x = Var("Normal", {0.0, 1.0});
+  ExprPtr y = Var("Normal", {0.0, 1.0});
+  Condition cond(x - y > Expr::Constant(2.0));  // ~8%.
+  for (size_t budget : {size_t{90}, size_t{3000}, size_t{1000000}}) {
+    SCOPED_TRACE("budget=" + std::to_string(budget));
+    SamplingOptions o = Fixed(0);
+    o.max_total_attempts = budget;
+    o.use_metropolis = false;
+    auto words = ExpectAllModesMatch(o, [&](const SamplingEngine& engine) {
+      auto r = engine.SampleConditional(x * y, cond, 700).value();
+      std::vector<uint64_t> words;
+      for (double v : r) words.push_back(Bits(v));
+      return words;
+    });
+    // The two small budgets truncate to a prefix.
+    EXPECT_EQ(words.size() < 700, budget < 1000000);
   }
 }
 

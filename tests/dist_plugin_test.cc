@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "src/dist/distribution.h"
 #include "src/dist/variable_pool.h"
@@ -146,6 +147,33 @@ class GenOnlyUnitDist : public Distribution {
   }
 };
 
+/// U(0,1) exposing Generate only whose draw fails at one sample index
+/// (the parameter), at every attempt.
+class FlakyUnitDist : public Distribution {
+ public:
+  const std::string& name() const override {
+    static const std::string n = "FlakyUnit";
+    return n;
+  }
+  DomainKind domain() const override { return DomainKind::kContinuous; }
+  Status ValidateParams(const std::vector<double>& p) const override {
+    return p.size() == 1 ? Status::OK()
+                         : Status::InvalidArgument("FlakyUnit takes (index)");
+  }
+  Status GenerateJoint(const std::vector<double>& p, const SampleContext& ctx,
+                       std::vector<double>* out) const override {
+    if (static_cast<double>(ctx.sample_index) == p[0]) {
+      return Status::Internal("FlakyUnit draw failed");
+    }
+    RandomStream stream = ctx.StreamFor(0);
+    out->assign(1, stream.NextUniform());
+    return Status::OK();
+  }
+  Interval Support(const std::vector<double>&, uint32_t) const override {
+    return Interval(0.0, 1.0);
+  }
+};
+
 /// U(0,1) with Generate + PDF: no CDF machinery, but the PDF qualifies it
 /// for the Metropolis fallback when rejection collapses.
 class PdfOnlyUnitDist : public Distribution {
@@ -220,6 +248,7 @@ void EnsureTestPlugins() {
     PIP_CHECK(reg.Register(std::make_unique<CdfOnlyUnitDist>()).ok());
     PIP_CHECK(reg.Register(std::make_unique<GenOnlyUnitDist>()).ok());
     PIP_CHECK(reg.Register(std::make_unique<PdfOnlyUnitDist>()).ok());
+    PIP_CHECK(reg.Register(std::make_unique<FlakyUnitDist>()).ok());
     return true;
   }();
   (void)done;
@@ -510,6 +539,66 @@ TEST(SeedDeterminismTest, SamePoolSeedSameDraws) {
   }
   // Attempt index opens a distinct stream (rejection retries are fresh).
   EXPECT_NE(p1.Generate(a, 0, 0).value(), p1.Generate(a, 0, 1).value());
+}
+
+TEST(SeedDeterminismTest, IndexListBatchDefaultsToGenerateJoint) {
+  // Triangular overrides no GenerateBatch: the default loops
+  // GenerateJoint over any index list, so rejection rounds (gaps,
+  // descending order, repeats, attempt > 0) read the scalar draws.
+  EnsureTestPlugins();
+  VariablePool pool(8);
+  VarRef v = pool.Create("Triangular", {0.0, 1.0, 4.0}).value();
+  const std::vector<uint64_t> idx = {9, 2, 2, 40, 3, 1000, 0, 2};
+  for (uint64_t attempt : {uint64_t{0}, uint64_t{5}}) {
+    std::vector<double> batch(idx.size());
+    ASSERT_TRUE(
+        pool.GenerateBatch(v.var_id, idx.data(), idx.size(), attempt,
+                           batch.data())
+            .ok());
+    for (size_t k = 0; k < idx.size(); ++k) {
+      double scalar = pool.Generate(v, idx[k], attempt).value();
+      EXPECT_EQ(std::memcmp(&batch[k], &scalar, sizeof(double)), 0)
+          << "index " << idx[k] << " attempt " << attempt;
+    }
+  }
+}
+
+TEST(SeedDeterminismTest, DrawErrorPastTruncationMatchesScalar) {
+  // FlakyUnit fails at sample 40. A tiny attempt budget truncates the
+  // expectation loop and the probability estimator well before it, so
+  // the scalar reference never sees the error; batched rounds draw
+  // sample 40 speculatively and must not pin its error on earlier ones.
+  EnsureTestPlugins();
+  VariablePool pool(13);
+  VarRef x = pool.Create("FlakyUnit", {40.0}).value();
+  Condition cond(Expr::Var(x) < Expr::Constant(0.5));
+  auto run = [&](bool batch, size_t max_total_attempts) {
+    SamplingOptions opts;
+    opts.fixed_samples = 256;
+    opts.num_threads = 1;
+    opts.max_total_attempts = max_total_attempts;
+    opts.use_batch_generation = batch;
+    SamplingEngine engine(&pool, opts);
+    return engine.Expectation(Expr::Var(x), cond, true);
+  };
+  for (size_t budget : {size_t{20}, size_t{30}}) {
+    SCOPED_TRACE("max_total_attempts=" + std::to_string(budget));
+    auto scalar = run(false, budget);
+    auto batch = run(true, budget);
+    ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    const ExpectationResult& s = scalar.value();
+    const ExpectationResult& b = batch.value();
+    EXPECT_EQ(std::memcmp(&s.expectation, &b.expectation, sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(&s.probability, &b.probability, sizeof(double)), 0);
+    EXPECT_EQ(s.samples_used, b.samples_used);
+    EXPECT_EQ(s.attempts, b.attempts);
+  }
+  // With room to reach sample 40, both report its error.
+  auto scalar = run(false, 20000000);
+  auto batch = run(true, 20000000);
+  ASSERT_FALSE(scalar.ok());
+  EXPECT_EQ(batch.status().ToString(), scalar.status().ToString());
 }
 
 TEST(SeedDeterminismTest, SampleOffsetReplaysAndRefreshes) {

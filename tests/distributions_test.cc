@@ -269,9 +269,13 @@ TEST(PoissonDistTest, DrawMomentsWithinSixSigma) {
   const Distribution* d = Lookup("Poisson");
   constexpr uint64_t kDraws = 100000;
   std::vector<double> draws(kDraws);
+  std::vector<uint64_t> indices(kDraws);
+  for (uint64_t k = 0; k < kDraws; ++k) indices[k] = k;
   for (double lambda : PoissonRates()) {
     SampleContext ctx{/*seed=*/2024, /*var_id=*/5, /*sample_index=*/0, 0};
-    ASSERT_TRUE(d->GenerateBatch({lambda}, ctx, kDraws, draws.data()).ok());
+    ASSERT_TRUE(d->GenerateBatch({lambda}, ctx, indices.data(), kDraws,
+                                 draws.data())
+                    .ok());
     RunningStats stats;
     for (double x : draws) stats.Add(x);
     // Var(sample mean) = lambda / n; Var(sample variance) ~ (mu4 -

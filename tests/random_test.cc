@@ -93,6 +93,23 @@ TEST(RandomStreamTest, FillUniformsMatchesScalarNextUniform) {
   for (size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], expect[i]);
 }
 
+TEST(RandomStreamTest, FillFreshUniformsMatchesFreshStreams) {
+  // Unsorted, repeated and large sample indices, one to three words each.
+  const std::vector<uint64_t> idx = {7, 0, 7, 1ULL << 40, 3, ~0ULL, 2};
+  for (uint64_t words : {uint64_t{1}, uint64_t{2}, uint64_t{3}}) {
+    std::vector<double> got(idx.size() * words);
+    RandomStream::FillFreshUniforms(91, 17, 2, idx.data(), idx.size(), words,
+                                    got.data());
+    for (size_t s = 0; s < idx.size(); ++s) {
+      RandomStream fresh(91, 17, 2, idx[s]);
+      for (uint64_t w = 0; w < words; ++w) {
+        EXPECT_EQ(got[s * words + w], fresh.NextUniform())
+            << "sample " << idx[s] << " word " << w;
+      }
+    }
+  }
+}
+
 TEST(RandomStreamTest, BlockAndScalarCallsInterleaveOnOneCounter) {
   // Fills advance the same counter NextBits uses, so a consumer can mix
   // block and scalar reads freely and still replay the stream.

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -217,6 +218,25 @@ TEST_P(PoissonLadderTest, AgreesWithIncompleteGamma) {
     EXPECT_NEAR(ladder.Cdf(k), RegularizedGammaQ(k + 1.0, lambda), 1e-12)
         << "lambda=" << lambda << " k=" << k;
     EXPECT_EQ(ladder.Cdf(k + 0.5), ladder.Cdf(k));
+  }
+}
+
+TEST_P(PoissonLadderTest, QuantileBatchMatchesQuantile) {
+  // Unsorted quantiles in one batch, endpoints and NaN included: the
+  // shared rung table must give each one Quantile's exact answer.
+  const double lambda = GetParam();
+  const PoissonLadder ladder(lambda);
+  std::vector<double> qs = {0.5,     1e-300, 0.0,         -0.0,
+                            1.0,     0.999,  0x1p-53,     1.0 - 0x1p-53,
+                            0.25,    2.0,    -1.0,        std::nan(""),
+                            0.75,    1e-12,  1.0 - 1e-12, 0.5};
+  for (int i = 0; i < 512; ++i) qs.push_back(((i * 977) % 1021) / 1021.0);
+  std::vector<double> batch = qs;
+  ladder.QuantileBatch(batch.data(), batch.size());
+  for (size_t i = 0; i < qs.size(); ++i) {
+    const double want = ladder.Quantile(qs[i]);
+    EXPECT_EQ(std::memcmp(&batch[i], &want, sizeof(double)), 0)
+        << "lambda=" << lambda << " q=" << qs[i];
   }
 }
 
