@@ -6,7 +6,6 @@
 
 #include "src/common/row_parallel.h"
 #include "src/common/running_stats.h"
-#include "src/common/thread_pool.h"
 #include "src/ctable/algebra.h"
 #include "src/sampling/index_ops.h"
 
@@ -263,35 +262,26 @@ StatusOr<std::vector<double>> AggregateEvaluator::SampleWorlds(
 
   // Every world is a pure function of its sample index, so the world
   // space shards across threads with bit-identical results: each chunk
-  // writes its own slots, no cross-world state exists, and the fold
-  // below reads the slots in index order.
+  // writes its own slots and no cross-world state exists.
   const size_t n = options_.world_samples;
   std::vector<double> results(n, 0.0);
-  const size_t chunk =
-      std::max<size_t>(1, engine_->options().chunk_samples);
-  std::vector<Status> chunk_status(NumChunks(n, chunk), Status::OK());
-  ThreadPool::For(
-      NumChunks(n, chunk), engine_->options().num_threads, [&](size_t c) {
-        // Chunk barrier: cooperative cancellation poll (see
-        // SamplingOptions::cancel_check) — world chunks after an earlier
-        // batch row's failure stop instantiating worlds nobody reads.
-        const auto& cancel = engine_->options().cancel_check;
-        if (cancel && cancel()) {
-          chunk_status[c] = Status::Cancelled("world sampling");
-          return;
-        }
+  struct WorldChunk {
+    Status status = Status::OK();
+  };
+  PIP_RETURN_IF_ERROR(engine_->RunChunks<WorldChunk>(
+      "world sampling", n, /*wave_limited=*/false,
+      [&](const SamplingEngine::Chunk& chunk, WorldChunk* out) {
         std::vector<double> joint;
         Assignment world;
         std::vector<double> values;
-        size_t end = std::min(n, (c + 1) * chunk);
-        for (size_t w = c * chunk; w < end; ++w) {
+        for (uint64_t w = chunk.begin; w < chunk.end; ++w) {
           uint64_t sample_index = engine_->options().sample_offset + w;
           world.Clear();
           for (uint64_t id : ids) {
             Status s =
                 pool.GenerateJoint(id, sample_index, kWorldMarker, &joint);
             if (!s.ok()) {
-              chunk_status[c] = s;
+              out->status = s;
               return;
             }
             for (uint32_t comp = 0; comp < joint.size(); ++comp) {
@@ -302,23 +292,21 @@ StatusOr<std::vector<double>> AggregateEvaluator::SampleWorlds(
           for (const auto& row : table.rows()) {
             auto present = row.condition.Eval(world);
             if (!present.ok()) {
-              chunk_status[c] = present.status();
+              out->status = present.status();
               return;
             }
             if (!present.value()) continue;
             auto v = row.cells[col]->EvalDouble(world);
             if (!v.ok()) {
-              chunk_status[c] = v.status();
+              out->status = v.status();
               return;
             }
             values.push_back(v.value());
           }
           results[w] = fold(values);
         }
-      });
-  for (const Status& s : chunk_status) {
-    PIP_RETURN_IF_ERROR(s);
-  }
+      },
+      [](const SamplingEngine::Chunk&, const WorldChunk&) { return true; }));
   return results;
 }
 

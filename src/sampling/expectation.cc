@@ -6,7 +6,6 @@
 
 #include "src/common/running_stats.h"
 #include "src/common/special_math.h"
-#include "src/common/thread_pool.h"
 #include "src/sampling/metropolis.h"
 #include "src/sampling/shape_key.h"
 
@@ -73,47 +72,6 @@ bool ExactCdfEligible(const Condition& condition, const VariableGroup& group,
   return !needs_pmf || pool.HasPdf(v);
 }
 
-/// The shared chunk-wave determinism protocol: runs chunks
-/// [start_chunk, ceil(cap / chunk)) of the index space [0, cap),
-/// dispatching `run(chunk_index, begin, end, *outcome)` into per-chunk
-/// slots and folding outcomes IN CHUNK ORDER via
-/// `fold(chunk_index, outcome)` (return false to stop). Wave-limited callers (adaptive stopping,
-/// budget ledgers) get waves of `workers` chunks so barrier checks stay
-/// frequent and over-run work stays bounded; others dispatch every
-/// remaining chunk at once. Every consumer of this driver inherits the
-/// same guarantee: which worker ran a chunk never affects what is
-/// folded, or in what order.
-template <typename Outcome, typename Run, typename Fold>
-void RunChunkedWaves(uint64_t cap, size_t chunk, size_t start_chunk,
-                     bool wave_limited, size_t num_threads, const Run& run,
-                     const Fold& fold) {
-  const size_t nchunks = NumChunks(cap, chunk);
-  // Clamped to the parallelism budget so a nested (inline) engine call
-  // sizes its waves like the serial engine: one chunk per barrier check,
-  // no over-computed chunks for the in-order fold to discard. Wave width
-  // never affects the folded chunk set — only how much speculative work
-  // exists past the stopping point — so this is throughput-only.
-  const size_t workers = std::min(ThreadPool::ResolveThreads(num_threads),
-                                  ThreadPool::ParallelismBudget());
-  size_t c = start_chunk;
-  bool stopped = false;
-  std::vector<Outcome> wave;
-  while (c < nchunks && !stopped) {
-    size_t wave_len =
-        wave_limited ? std::min(workers, nchunks - c) : nchunks - c;
-    wave.assign(wave_len, Outcome{});
-    ThreadPool::For(wave_len, num_threads, [&](size_t k) {
-      uint64_t begin = static_cast<uint64_t>(c + k) * chunk;
-      uint64_t end = std::min<uint64_t>(cap, begin + chunk);
-      run(c + k, begin, end, &wave[k]);
-    });
-    for (size_t k = 0; k < wave_len && !stopped; ++k) {
-      if (!fold(c + k, wave[k])) stopped = true;
-    }
-    c += wave_len;
-  }
-}
-
 /// One quantile-window draw, strictly inside the open interval (0, 1):
 /// rounding to an absolute endpoint would push an unbounded support's
 /// quantile (InverseCdf(0) = -inf, InverseCdf(1) = +inf) into the sample,
@@ -177,10 +135,9 @@ double AdaptiveSimpson(const std::function<StatusOr<double>(double)>& f,
                          ok);
 }
 
-}  // namespace
-
-/// Per-group execution plan: strategy choices plus runtime counters.
-struct SamplingEngine::GroupPlan {
+/// The planning half of a group's execution plan: PlanGroups' strategy
+/// choices, which every shard of the sample-index space shares.
+struct GroupPlanning {
   std::vector<VarRef> vars;            // All components, ordered.
   std::vector<uint64_t> var_ids;       // Distinct ids, ordered.
   std::vector<ConstraintAtom> atoms;   // The group's constraints.
@@ -203,38 +160,54 @@ struct SamplingEngine::GroupPlan {
   /// null when some atom does not compile. Shared by chunk clones.
   std::shared_ptr<const std::vector<CompiledExpr>> compiled_atoms;
 
+  uint64_t chain_key = 0;  // Seeds the group's Metropolis chain.
+  ConsistencyResult consistency;  // Shared bounds (copied per group).
+};
+
+/// Hit counts of a binomial Monte Carlo estimate (the group-probability
+/// estimator and joint aconf): one chunk's outcome, or the fold's total.
+struct HitCount {
+  size_t n = 0, hits = 0, attempts = 0;
+  bool truncated = false;  // The chunk's attempt budget ran out.
+  Status status = Status::OK();
+
+  double rate() const {
+    return n > 0 ? static_cast<double>(hits) / static_cast<double>(n) : 0.0;
+  }
+  void Add(const HitCount& o) {
+    n += o.n;
+    hits += o.hits;
+  }
+  /// Adaptive stop: the normal-approximation half-width at confidence
+  /// `z` is within delta of the estimate (floored at 0.01).
+  bool Converged(double z, const SamplingOptions& options) const {
+    if (options.fixed_samples > 0 || n < options.min_samples) return false;
+    const double p = rate();
+    const double half_width = z * std::sqrt(std::max(p * (1.0 - p), 1e-12) /
+                                            static_cast<double>(n));
+    return half_width <= options.delta * std::max(p, 0.01);
+  }
+};
+
+}  // namespace
+
+/// Per-group execution plan: strategy choices plus runtime counters.
+struct SamplingEngine::GroupPlan : GroupPlanning {
   // Runtime counters (Alg. 4.3's N and Count[K]).
   size_t accepted = 0;
   size_t attempts = 0;
   /// Shard clones disable the Metropolis switch: the decision and the
   /// chain live with the pilot shard so the switch never depends on
-  /// scheduling (see the Expectation driver).
+  /// scheduling (see RunChunks).
   bool allow_metropolis = true;
   std::unique_ptr<MetropolisSampler> metropolis;
-  uint64_t chain_key = 0;
-  ConsistencyResult consistency;  // Shared bounds (copied per group).
 
-  /// A counter-reset copy for one shard of the sample-index space.
-  /// `chunk_salt` decorrelates any chain this clone might otherwise seed
-  /// (it cannot — allow_metropolis is off — but the salt keeps the key
-  /// schedule honest if that ever changes).
-  GroupPlan CloneForChunk(uint64_t chunk_salt) const {
+  /// A copy for one shard of the sample-index space: the planning
+  /// fields, zeroed counters, and the Metropolis switch off.
+  GroupPlan CloneForChunk() const {
     GroupPlan c;
-    c.vars = vars;
-    c.var_ids = var_ids;
-    c.atoms = atoms;
-    c.touches_target = touches_target;
-    c.window_lo = window_lo;
-    c.window_hi = window_hi;
-    c.cdf_constrained = cdf_constrained;
-    c.window_prob = window_prob;
-    c.quantile_tables = quantile_tables;
-    c.exact = exact;
-    c.exact_prob = exact_prob;
-    c.compiled_atoms = compiled_atoms;
+    static_cast<GroupPlanning&>(c) = *this;
     c.allow_metropolis = false;
-    c.chain_key = MixBits(chain_key, chunk_salt, 0x63686e6bULL, 1);
-    c.consistency = consistency;
     return c;
   }
 };
@@ -689,9 +662,8 @@ StatusOr<std::optional<double>> SamplingEngine::TryNumericIntegration(
 }
 
 size_t SamplingEngine::ChunkAttemptBudget(size_t chunk_len,
-                                          size_t schedule_len,
-                                          bool pilot) const {
-  if (pilot || schedule_len == 0 || chunk_len >= schedule_len) {
+                                          size_t schedule_len) const {
+  if (schedule_len == 0 || chunk_len >= schedule_len) {
     return options_.max_total_attempts;
   }
   double share = static_cast<double>(options_.max_total_attempts) *
@@ -701,77 +673,6 @@ size_t SamplingEngine::ChunkAttemptBudget(size_t chunk_len,
       std::max(share, static_cast<double>(kMinChunkAttempts));
   return static_cast<size_t>(
       std::min(budget, static_cast<double>(options_.max_total_attempts)));
-}
-
-template <typename Outcome, typename Run, typename Cost, typename Fold>
-void SamplingEngine::RunPilotedSchedule(std::vector<GroupPlan>* plans,
-                                        uint64_t cap, const Run& run,
-                                        const Cost& cost,
-                                        const Fold& fold) const {
-  const size_t chunk = std::max<size_t>(1, options_.chunk_samples);
-  const size_t nchunks = NumChunks(cap, chunk);
-  if (nchunks == 0) return;
-
-  // Pilot shard: chunk 0 runs first, serially, on the original plans
-  // with the Metropolis switch armed. Rejection-rate history (and any
-  // chain it spawns) is confined to this shard, so the switch decision
-  // is identical for every num_threads.
-  const uint64_t pilot_end = std::min<uint64_t>(cap, chunk);
-  Outcome pilot{};
-  run(plans, /*chunk_index=*/0, /*begin=*/0, pilot_end,
-      ChunkAttemptBudget(pilot_end, cap, /*pilot=*/true), &pilot);
-  if (!fold(0, pilot, /*cloned=*/false) || nchunks == 1) return;
-
-  // Later shards budget from the pilot's observed per-item cost
-  // (deterministic — the pilot is serial), with 4x slack for variance,
-  // never below the proportional-share floor. This keeps adaptive runs
-  // over hard-but-samplable conditions (the proportional share prorates
-  // against a schedule such runs rarely exhaust) from collapsing where
-  // the serial engine succeeded; the caller's fold-side ledger still
-  // bounds the call at max_total_attempts.
-  size_t later_budget = ChunkAttemptBudget(chunk, cap);
-  const std::pair<size_t, size_t> pilot_cost = cost(pilot);
-  if (pilot_cost.first > 0) {
-    later_budget = std::max(
-        later_budget,
-        std::min(options_.max_total_attempts,
-                 4 * (pilot_cost.second / pilot_cost.first) * chunk));
-  }
-
-  bool chain_mode = false;
-  for (const auto& plan : *plans) {
-    chain_mode =
-        chain_mode || (plan.touches_target && plan.metropolis != nullptr);
-  }
-
-  if (chain_mode) {
-    // A Metropolis chain is inherently sequential: finish the remaining
-    // chunks serially on the original plans. Still deterministic — this
-    // path never forks, whatever num_threads is.
-    for (size_t c = 1; c < nchunks; ++c) {
-      uint64_t begin = static_cast<uint64_t>(c) * chunk;
-      uint64_t end = std::min<uint64_t>(cap, begin + chunk);
-      Outcome o{};
-      run(plans, c, begin, end, later_budget, &o);
-      if (!fold(c, o, /*cloned=*/false)) break;
-    }
-    return;
-  }
-
-  // Parallel shards over counter-reset plan clones, dispatched in waves
-  // with the stopping rule, the budget ledger and collapse all evaluated
-  // in chunk order at each barrier; chunks computed past the stopping
-  // point are discarded, so the accepted index set matches a serial run.
-  RunChunkedWaves<Outcome>(
-      cap, chunk, /*start_chunk=*/1, /*wave_limited=*/true,
-      options_.num_threads,
-      [&](size_t c, uint64_t begin, uint64_t end, Outcome* out) {
-        std::vector<GroupPlan> clones;
-        clones.reserve(plans->size());
-        for (const auto& p : *plans) clones.push_back(p.CloneForChunk(c));
-        run(&clones, c, begin, end, later_budget, out);
-      },
-      [&](size_t c, Outcome& o) { return fold(c, o, /*cloned=*/true); });
 }
 
 StatusOr<bool> SamplingEngine::SampleGroupOnce(GroupPlan* plan,
@@ -1159,30 +1060,23 @@ StatusOr<double> SamplingEngine::EstimateGroupProbability(
   size_t cap = options_.fixed_samples > 0
                    ? std::max<size_t>(options_.fixed_samples, 256)
                    : options_.max_samples;
-  const size_t chunk = std::max<size_t>(1, options_.chunk_samples);
-  const bool adaptive = options_.fixed_samples == 0;
 
-  struct HitChunk {
-    size_t n = 0, hits = 0, attempts = 0;
-    bool truncated = false;
-    Status status = Status::OK();
-  };
-  auto run_chunk = [&](uint64_t begin, uint64_t end, HitChunk* out) {
-    const size_t budget = ChunkAttemptBudget(end - begin, cap);
-    const uint64_t first = options_.sample_offset + begin;
+  auto run = [&](const Chunk& chunk, HitCount* out) {
+    const uint64_t first = options_.sample_offset + chunk.begin;
+    const size_t len = chunk.end - chunk.begin;
     // One attempt per sample: batched, a single round over the chunk.
     // Draws are pure functions of their sample index, so a round's
     // lanes past a truncation are invisible to the fold.
     size_t draws = 0;
     std::optional<PlanRounds> round;
     if (options_.use_batch_generation && plan->compiled_atoms != nullptr) {
-      round.emplace(this, plan, first, end - begin, &draws);
+      round.emplace(this, plan, first, len, &draws);
       round->DrawAll(kEstimateMarker);
     }
     std::vector<double> joint;
     Assignment a;
-    for (uint64_t k = 0; k < end - begin; ++k) {
-      if (++out->attempts > budget) {
+    for (uint64_t k = 0; k < len; ++k) {
+      if (++out->attempts > chunk.budget) {
         out->truncated = true;
         return;
       }
@@ -1198,27 +1092,12 @@ StatusOr<double> SamplingEngine::EstimateGroupProbability(
     }
   };
 
-  size_t n = 0, hits = 0;
-  Status chunk_error = Status::OK();
-  RunChunkedWaves<HitChunk>(
-      cap, chunk, /*start_chunk=*/0, adaptive, options_.num_threads,
-      [&](size_t, uint64_t begin, uint64_t end, HitChunk* out) {
-        run_chunk(begin, end, out);
-      },
-      [&](size_t, HitChunk& o) {
-        // Chunk-fold barrier: cooperative cancellation poll (the result
-        // is discarded by the caller that requested the cancel).
-        if (options_.cancel_check && options_.cancel_check()) {
-          chunk_error = Status::Cancelled("group probability estimate");
-          return false;
-        }
-        if (!o.status.ok()) {
-          chunk_error = o.status;
-          return false;
-        }
+  HitCount total;
+  PIP_RETURN_IF_ERROR(RunChunks<HitCount>(
+      "group probability estimate", cap, options_.fixed_samples == 0, run,
+      [&](const Chunk&, const HitCount& o) {
         *total_attempts += o.attempts;
-        n += o.n;
-        hits += o.hits;
+        total.Add(o);
         // Budget collapse — the shard's own, or the call-wide ledger
         // (*total_attempts carries over from the expectation phase, so
         // max_total_attempts bounds the whole call, not just this
@@ -1226,17 +1105,9 @@ StatusOr<double> SamplingEngine::EstimateGroupProbability(
         if (o.truncated || *total_attempts > options_.max_total_attempts) {
           return false;
         }
-        if (adaptive && n >= options_.min_samples) {
-          double p = static_cast<double>(hits) / static_cast<double>(n);
-          double half_width = z * std::sqrt(std::max(p * (1.0 - p), 1e-12) /
-                                            static_cast<double>(n));
-          if (half_width <= options_.delta * std::max(p, 0.01)) return false;
-        }
-        return true;
-      });
-  PIP_RETURN_IF_ERROR(chunk_error);
-  double p = n > 0 ? static_cast<double>(hits) / static_cast<double>(n) : 0.0;
-  return p * plan->window_prob;
+        return !total.Converged(z, options_);
+      }));
+  return total.rate() * plan->window_prob;
 }
 
 std::optional<CompiledExpr> SamplingEngine::CompileTarget(
@@ -1467,7 +1338,7 @@ StatusOr<ExpectationResult> SamplingEngine::Expectation(
   }
   if (!integrated) {
     // Monte Carlo over the sample-index space, sharded into contiguous
-    // chunks by the shared pilot/chain/budget driver. The chunk
+    // chunks by RunChunks with a pilot on `plans`. The chunk
     // schedule, the merge order and the adaptive stopping barriers
     // depend only on chunk_samples — never on num_threads — so serial
     // and parallel runs accept the same index set and fold the same
@@ -1500,48 +1371,26 @@ StatusOr<ExpectationResult> SamplingEngine::Expectation(
     // their proportional share, but the fold trips the collapse as soon
     // as the folded shards exceed the configured budget — at a
     // deterministic chunk index, independent of thread count.
-    Status chunk_error = Status::OK();
     const std::optional<CompiledExpr> target = CompileTarget(plans, expr);
-    RunPilotedSchedule<ChunkOutcome>(
-        &plans, schedule_len,
-        [&](std::vector<GroupPlan>* ps, size_t c, uint64_t begin,
-            uint64_t end, size_t budget, ChunkOutcome* out) {
-          *out = SampleChunk(ps, expr, target ? &*target : nullptr, begin,
-                             end, budget, c, &first_collapsed);
+    PIP_RETURN_IF_ERROR(RunChunks<ChunkOutcome>(
+        "expectation", schedule_len, /*wave_limited=*/true,
+        [&](const Chunk& chunk, std::vector<GroupPlan>* ps,
+            ChunkOutcome* out) {
+          *out = SampleChunk(ps, expr, target ? &*target : nullptr,
+                             chunk.begin, chunk.end, chunk.budget,
+                             chunk.index, &first_collapsed);
           for (double v : out->values) out->stats.Add(v);
         },
-        [&](const ChunkOutcome& pilot) {
-          return std::make_pair(pilot.values.size(), pilot.attempts);
-        },
-        [&](size_t, ChunkOutcome& o, bool cloned) {
-          // Chunk-fold barrier: cooperative cancellation poll. The
-          // caller requesting the cancel discards this row's output, so
-          // abandoning mid-schedule cannot change any kept bits.
-          if (options_.cancel_check && options_.cancel_check()) {
-            chunk_error = Status::Cancelled("expectation");
-            return false;
-          }
-          if (!o.status.ok()) {
-            chunk_error = o.status;
-            return false;
-          }
+        [&](const Chunk&, const ChunkOutcome& o) {
           total_attempts += o.attempts;
           merged.Merge(o.stats);
-          if (cloned) {
-            // Clone counters fold back into the originals; chain/pilot
-            // chunks mutate the originals in place.
-            for (size_t g = 0; g < plans.size(); ++g) {
-              plans[g].accepted += o.group_accepted[g];
-              plans[g].attempts += o.group_attempts[g];
-            }
-          }
           if (o.collapsed || total_attempts > options_.max_total_attempts) {
             collapsed = true;
             return false;
           }
           return !stop_now();
-        });
-    PIP_RETURN_IF_ERROR(chunk_error);
+        },
+        &plans));
 
     if (collapsed) {
       // Sampling budget collapsed: the condition region is effectively
@@ -1645,16 +1494,11 @@ StatusOr<double> SamplingEngine::JointConfidence(
   }
   const double z = M_SQRT2 * ErfInv(1.0 - options_.epsilon);
   constexpr uint64_t kAconfMarker = 0xAC0FULL << 32;
-  const bool adaptive = options_.fixed_samples == 0;
   size_t cap = options_.fixed_samples > 0 ? options_.fixed_samples
                                           : options_.max_samples;
-  const size_t chunk = std::max<size_t>(1, options_.chunk_samples);
 
-  struct HitChunk {
-    size_t n = 0, hits = 0;
-    Status status = Status::OK();
-  };
-  auto run_chunk = [&](uint64_t begin, uint64_t end, HitChunk* out) {
+  auto run = [&](const Chunk& chunk, HitCount* out) {
+    const uint64_t begin = chunk.begin, end = chunk.end;
     // No atoms, windows, or chains here, so every variable qualifies for
     // the batched draw path unconditionally.
     const bool use_batch = options_.use_batch_generation;
@@ -1716,36 +1560,14 @@ StatusOr<double> SamplingEngine::JointConfidence(
     }
   };
 
-  size_t n = 0, hits = 0;
-  Status chunk_error = Status::OK();
-  RunChunkedWaves<HitChunk>(
-      cap, chunk, /*start_chunk=*/0, adaptive, options_.num_threads,
-      [&](size_t, uint64_t begin, uint64_t end, HitChunk* out) {
-        run_chunk(begin, end, out);
-      },
-      [&](size_t, HitChunk& o) {
-        // Chunk-fold barrier: cooperative cancellation poll (see
-        // SamplingOptions::cancel_check).
-        if (options_.cancel_check && options_.cancel_check()) {
-          chunk_error = Status::Cancelled("joint confidence");
-          return false;
-        }
-        if (!o.status.ok()) {
-          chunk_error = o.status;
-          return false;
-        }
-        n += o.n;
-        hits += o.hits;
-        if (adaptive && n >= options_.min_samples) {
-          double p = static_cast<double>(hits) / static_cast<double>(n);
-          double half_width = z * std::sqrt(std::max(p * (1.0 - p), 1e-12) /
-                                            static_cast<double>(n));
-          if (half_width <= options_.delta * std::max(p, 0.01)) return false;
-        }
-        return true;
-      });
-  PIP_RETURN_IF_ERROR(chunk_error);
-  return n > 0 ? static_cast<double>(hits) / static_cast<double>(n) : 0.0;
+  HitCount total;
+  PIP_RETURN_IF_ERROR(RunChunks<HitCount>(
+      "joint confidence", cap, options_.fixed_samples == 0, run,
+      [&](const Chunk&, const HitCount& o) {
+        total.Add(o);
+        return !total.Converged(z, options_);
+      }));
+  return total.rate();
 }
 
 StatusOr<std::vector<double>> SamplingEngine::SampleConditional(
@@ -1758,7 +1580,6 @@ StatusOr<std::vector<double>> SamplingEngine::SampleConditional(
                        PlanGroups(condition, target_vars, &inconsistent));
   if (inconsistent || n == 0) return samples;
 
-  const size_t chunk = std::max<size_t>(1, options_.chunk_samples);
   samples.assign(n, 0.0);
 
   // Index of the first chunk whose budget genuinely collapsed
@@ -1770,49 +1591,32 @@ StatusOr<std::vector<double>> SamplingEngine::SampleConditional(
   std::atomic<uint64_t> first_truncated{UINT64_MAX};
   const std::optional<CompiledExpr> target = CompileTarget(plans, expr);
 
-  // Pilot shard (Metropolis decision scope), then chain-serial or
-  // parallel remainder — the shared driver, so the determinism schedule
-  // is the expectation loop's by construction. `ledger` folds per-chunk
+  // The expectation loop's piloted schedule. `ledger` folds per-chunk
   // attempt counts in chunk order so max_total_attempts stays a
   // deterministic per-call bound (exceeding it truncates the result
   // exactly like a shard budget collapse).
   size_t total = 0;
   size_t ledger = 0;
-  Status chunk_error = Status::OK();
-  RunPilotedSchedule<ChunkOutcome>(
-      &plans, n,
-      [&](std::vector<GroupPlan>* ps, size_t c, uint64_t begin, uint64_t end,
-          size_t budget, ChunkOutcome* out) {
+  PIP_RETURN_IF_ERROR(RunChunks<ChunkOutcome>(
+      "conditional sampling", n, /*wave_limited=*/true,
+      [&](const Chunk& chunk, std::vector<GroupPlan>* ps,
+          ChunkOutcome* out) {
         // Values land in their slots; a collapse leaves a prefix.
-        *out = SampleChunk(ps, expr, target ? &*target : nullptr, begin, end,
-                           budget, c, &first_truncated);
+        *out = SampleChunk(ps, expr, target ? &*target : nullptr,
+                           chunk.begin, chunk.end, chunk.budget, chunk.index,
+                           &first_truncated);
         std::copy(out->values.begin(), out->values.end(),
-                  samples.begin() + begin);
+                  samples.begin() + chunk.begin);
       },
-      [&](const ChunkOutcome& pilot) {
-        return std::make_pair(pilot.values.size(), pilot.attempts);
-      },
-      [&](size_t c, ChunkOutcome& o, bool) {
-        // Chunk-fold barrier: cooperative cancellation poll (see
-        // SamplingOptions::cancel_check).
-        if (options_.cancel_check && options_.cancel_check()) {
-          chunk_error = Status::Cancelled("conditional sampling");
-          return false;
-        }
-        if (!o.status.ok()) {
-          chunk_error = o.status;
-          return false;
-        }
+      [&](const Chunk& chunk, const ChunkOutcome& o) {
         total += o.values.size();
         ledger += o.attempts;
-        uint64_t begin = static_cast<uint64_t>(c) * chunk;
-        uint64_t end = std::min<uint64_t>(n, begin + chunk);
         // Short chunk or exhausted call ledger: the visible result is
         // the prefix produced so far.
-        return o.values.size() == end - begin &&
+        return o.values.size() == chunk.end - chunk.begin &&
                ledger <= options_.max_total_attempts;
-      });
-  PIP_RETURN_IF_ERROR(chunk_error);
+      },
+      &plans));
 
   samples.resize(total);
   return samples;

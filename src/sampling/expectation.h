@@ -20,11 +20,14 @@
 #ifndef PIP_SAMPLING_EXPECTATION_H_
 #define PIP_SAMPLING_EXPECTATION_H_
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
+#include "src/common/thread_pool.h"
 #include "src/constraints/consistency.h"
 #include "src/constraints/independence.h"
 #include "src/dist/variable_pool.h"
@@ -136,8 +139,10 @@ struct SamplingOptions {
   uint64_t admission_timeout_ms = 0;
 
   /// Cooperative cancellation hook. When set, the Monte Carlo loops poll
-  /// it at chunk-fold barriers and abandon the call with
-  /// Status::Cancelled once it returns true. Used by ParallelRows
+  /// it before each chunk body (on pool workers, so it must be
+  /// thread-safe) and at each chunk-fold barrier (SamplingEngine::
+  /// RunChunks), and abandon the call with Status::Cancelled once it
+  /// returns true. Used by ParallelRows
   /// batches (via SamplingEngine::WithCancelCheck) so a long row body
   /// dispatched just before an earlier row failed stops early instead of
   /// sampling to completion; the cancelled row's output is discarded by
@@ -255,6 +260,45 @@ class SamplingEngine {
                                                   const Condition& condition,
                                                   size_t n) const;
 
+  /// One chunk of a Monte Carlo schedule: schedule indices [begin, end)
+  /// (sample_offset not yet added) and the chunk's rejection-attempt
+  /// budget.
+  struct Chunk {
+    size_t index = 0;
+    uint64_t begin = 0, end = 0;
+    size_t budget = 0;
+  };
+
+  /// The Monte Carlo chunk driver behind every sampling loop (the four
+  /// above and AggregateEvaluator::SampleWorlds), and the one place that
+  /// enforces the determinism contract (README "Threading model"):
+  ///   - the index space [0, cap) splits into the chunk_samples schedule;
+  ///   - chunks run as `run(chunk, &outcome)` on the shared pool (each
+  ///     Outcome default-constructed, with a Status `status`), in
+  ///     waves of min(num_threads, parallelism budget) chunks when
+  ///     `wave_limited` (adaptive stopping and attempt ledgers keep their
+  ///     barriers frequent), else all at once;
+  ///   - outcomes fold IN CHUNK ORDER via `fold(chunk, outcome)`, which
+  ///     accumulates and returns false to stop; chunks computed past the
+  ///     stop are discarded, so which worker ran a chunk never shows;
+  ///   - cancel_check is polled before each chunk body and at each fold
+  ///     barrier: a cancelled call returns Status::Cancelled(what), and a
+  ///     chunk's failed `status` is returned before it folds.
+  /// Given `plans` (Expectation, SampleConditional), chunk 0 is the pilot:
+  /// it runs alone as `run(chunk, plans, &outcome)` with the Metropolis
+  /// switch armed and the full max_total_attempts budget, and later
+  /// chunks get 4x its attempts per produced value (floored at the
+  /// proportional share; Outcome is a ChunkOutcome). If the
+  /// pilot switched a target group to a chain, the schedule finishes in
+  /// waves of one on `plans` (chains are sequential); otherwise each
+  /// chunk runs on CloneForChunk copies, whose counters the driver folds
+  /// back into `plans` in chunk order.
+  template <typename Outcome, typename Run, typename Fold,
+            typename Plans = void>
+  Status RunChunks(const char* what, uint64_t cap, bool wave_limited,
+                   const Run& run, const Fold& fold,
+                   Plans* plans = nullptr) const;
+
  private:
   struct GroupPlan;
   struct ChunkOutcome;
@@ -333,36 +377,11 @@ class SamplingEngine {
       const std::vector<GroupPlan>& plans, const ExprPtr& expr) const;
 
   /// Attempt budget for one shard of `chunk_len` samples out of a
-  /// schedule of `schedule_len`. The pilot shard (chunk 0) gets the full
-  /// max_total_attempts so hard-but-satisfiable conditions keep the
-  /// serial engine's spurious-collapse threshold; later shards get a
-  /// proportional share with a floor, and the fold-side ledger bounds
-  /// their sum.
-  size_t ChunkAttemptBudget(size_t chunk_len, size_t schedule_len,
-                            bool pilot = false) const;
-
-  /// The shared pilot-shard/chain-mode/budget chunk driver behind
-  /// Expectation and SampleConditional (single definition so their
-  /// collapse semantics cannot silently diverge). Splits the index
-  /// space [0, cap) into the chunk_samples schedule and:
-  ///   1. runs chunk 0 serially on `plans` (Metropolis switch armed)
-  ///      with the full pilot attempt budget,
-  ///   2. derives the later-shard budget from the pilot's observed
-  ///      per-item cost via `cost(pilot) -> (produced, attempts)` (4x
-  ///      slack, floored at the proportional share),
-  ///   3. finishes the schedule serially on `plans` when the pilot
-  ///      switched a target group to Metropolis (chains are sequential),
-  ///      otherwise as parallel waves over per-chunk CloneForChunk
-  ///      copies of `plans`.
-  /// Every chunk is dispatched as `run(plans_or_clone, chunk_index,
-  /// begin, end, attempt_budget, out)` and folded IN CHUNK ORDER via
-  /// `fold(chunk_index, out, cloned)`; fold returns false to stop
-  /// (error, collapse, or adaptive stopping) and owns all accumulation —
-  /// including folding clone counters back when `cloned` is true.
-  template <typename Outcome, typename Run, typename Cost, typename Fold>
-  void RunPilotedSchedule(std::vector<GroupPlan>* plans, uint64_t cap,
-                          const Run& run, const Cost& cost,
-                          const Fold& fold) const;
+  /// schedule of `schedule_len`: a proportional share with a floor, the
+  /// fold-side ledger bounding their sum. (A piloted schedule's chunk 0
+  /// gets the full max_total_attempts instead, so hard-but-satisfiable
+  /// conditions keep the serial engine's spurious-collapse threshold.)
+  size_t ChunkAttemptBudget(size_t chunk_len, size_t schedule_len) const;
 
   /// Exact probability of a single-variable interval-constrained group.
   StatusOr<double> ExactGroupProbability(const GroupPlan& plan) const;
@@ -383,6 +402,102 @@ class SamplingEngine {
   /// Shared materialized-result index; null when not attached.
   std::shared_ptr<ExpectationIndex> result_index_;
 };
+
+template <typename Outcome, typename Run, typename Fold, typename Plans>
+Status SamplingEngine::RunChunks(const char* what, uint64_t cap,
+                                 bool wave_limited, const Run& run,
+                                 const Fold& fold, Plans* plans) const {
+  constexpr bool kPiloted = !std::is_void_v<Plans>;
+  const size_t chunk = std::max<size_t>(1, options_.chunk_samples);
+  const size_t nchunks = NumChunks(cap, chunk);
+  // Clamped to the parallelism budget so a nested (inline) engine call
+  // sizes its waves like the serial engine: one chunk per barrier check,
+  // no over-computed chunks for the in-order fold to discard. Wave width
+  // never affects the folded chunk set, only how much speculative work
+  // exists past the stopping point.
+  const size_t workers = std::min(
+      ThreadPool::ResolveThreads(options_.num_threads),
+      ThreadPool::ParallelismBudget());
+  auto cancelled = [this] {
+    return options_.cancel_check && options_.cancel_check();
+  };
+  // The pilot, and every chunk after a Metropolis switch, runs alone on
+  // the original plans.
+  bool serial = kPiloted;
+  size_t later_budget = 0;
+  auto chunk_at = [&](size_t c) {
+    Chunk ch;
+    ch.index = c;
+    ch.begin = static_cast<uint64_t>(c) * chunk;
+    ch.end = std::min<uint64_t>(cap, ch.begin + chunk);
+    ch.budget = !kPiloted ? ChunkAttemptBudget(ch.end - ch.begin, cap)
+                : c == 0  ? options_.max_total_attempts
+                          : later_budget;
+    return ch;
+  };
+  std::vector<Outcome> wave;
+  for (size_t c = 0; c < nchunks;) {
+    const size_t width = serial         ? 1
+                         : wave_limited ? std::min(workers, nchunks - c)
+                                        : nchunks - c;
+    wave.assign(width, Outcome{});
+    auto body = [&](size_t k) {
+      if (cancelled()) {
+        wave[k].status = Status::Cancelled(what);
+        return;
+      }
+      const Chunk ch = chunk_at(c + k);
+      if constexpr (!kPiloted) {
+        run(ch, &wave[k]);
+      } else if (serial) {
+        run(ch, plans, &wave[k]);
+      } else {
+        Plans clones;
+        clones.reserve(plans->size());
+        for (const auto& p : *plans) clones.push_back(p.CloneForChunk());
+        run(ch, &clones, &wave[k]);
+      }
+    };
+    if (serial) {
+      body(0);  // The pilot or a chain chunk: this thread, no pool region.
+    } else {
+      ThreadPool::For(width, options_.num_threads, body);
+    }
+    for (size_t k = 0; k < width; ++k) {
+      if (cancelled()) return Status::Cancelled(what);
+      Outcome& o = wave[k];
+      if (!o.status.ok()) return o.status;
+      if constexpr (kPiloted) {
+        for (size_t g = 0; !serial && g < plans->size(); ++g) {
+          (*plans)[g].accepted += o.group_accepted[g];
+          (*plans)[g].attempts += o.group_attempts[g];
+        }
+      }
+      if (!fold(chunk_at(c + k), o)) return Status::OK();
+    }
+    if constexpr (kPiloted) {
+      if (c == 0) {
+        // The pilot is serial, so its cost is deterministic; 4x slack
+        // covers variance, and the caller's ledger still bounds the call
+        // at max_total_attempts.
+        const Outcome& pilot = wave[0];
+        later_budget = ChunkAttemptBudget(chunk, cap);
+        if (!pilot.values.empty()) {
+          later_budget = std::max(
+              later_budget,
+              std::min(options_.max_total_attempts,
+                       4 * (pilot.attempts / pilot.values.size()) * chunk));
+        }
+        serial = false;
+        for (const auto& p : *plans) {
+          serial = serial || (p.touches_target && p.metropolis != nullptr);
+        }
+      }
+    }
+    c += width;
+  }
+  return Status::OK();
+}
 
 }  // namespace pip
 

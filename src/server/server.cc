@@ -179,13 +179,13 @@ void Server::ServeConnection(int fd) {
       uint64_t queue_us = 0;
       AdmissionGate::Ticket ticket;
       // Gate only statements that will actually run Monte Carlo
-      // sampling; DDL/DML and symbolic SELECTs stay cheap and ungated.
-      // The weight scales with estimated draw volume under this
-      // session's live options, so a table sweep holds proportionally
-      // more of the window than a point lookup.
-      if (sql::StatementMaySample(statement)) {
-        size_t volume = sql::EstimateSampleVolume(
-            *db_, statement, *session.mutable_options());
+      // sampling (nonzero volume); DDL/DML and symbolic SELECTs stay
+      // cheap and ungated. The weight scales with estimated draw volume
+      // under this session's live options, so a table sweep holds
+      // proportionally more of the window than a point lookup.
+      const size_t volume = sql::EstimateSampleVolume(
+          *db_, statement, *session.mutable_options());
+      if (volume > 0) {
         size_t weight =
             (volume + kDrawsPerWeightUnit - 1) / kDrawsPerWeightUnit;
         // ADMISSION_TIMEOUT_MS = 0 queues without bound (the knob's

@@ -897,10 +897,11 @@ std::string SqlResult::ToString() const {
   return "";
 }
 
-bool StatementMaySample(const std::string& statement) {
-  auto tokens = Tokenize(statement);
-  if (!tokens.ok()) return false;
-  const std::vector<Token>& ts = tokens.value();
+namespace {
+
+/// True when `ts` calls a probability-removing function (expected_*,
+/// expectation, conf, aconf).
+bool CallsSamplingFunction(const std::vector<Token>& ts) {
   for (size_t i = 0; i + 1 < ts.size(); ++i) {
     if (ts[i].kind != TokenKind::kIdent || !ts[i + 1].IsSymbol("(")) continue;
     std::string upper = ToUpper(ts[i].text);
@@ -911,11 +912,17 @@ bool StatementMaySample(const std::string& statement) {
   return false;
 }
 
+}  // namespace
+
+bool StatementMaySample(const std::string& statement) {
+  auto tokens = Tokenize(statement);
+  return tokens.ok() && CallsSamplingFunction(tokens.value());
+}
+
 size_t EstimateSampleVolume(const Database& db, const std::string& statement,
                             const SamplingOptions& options) {
-  if (!StatementMaySample(statement)) return 0;
   auto tokens = Tokenize(statement);
-  if (!tokens.ok()) return 0;
+  if (!tokens.ok() || !CallsSamplingFunction(tokens.value())) return 0;
   const std::vector<Token>& ts = tokens.value();
   // Lexical FROM scan: every table named after a FROM contributes its
   // current row count. Summing (rather than multiplying cross joins)

@@ -149,16 +149,17 @@ struct SqlResult {
 
 /// True when `statement` invokes a probability-removing function
 /// (expected_*, expectation, conf, aconf) and hence runs Monte Carlo
-/// sampling. The server's admission gate uses this to bound concurrent
-/// heavy statements without parsing twice; lexer-accurate (string
-/// literals cannot fake a match). Unparseable statements return false.
+/// sampling; lexer-accurate (string literals cannot fake a match).
+/// Unparseable statements return false. EstimateSampleVolume applies
+/// the same test to its own tokens.
 bool StatementMaySample(const std::string& statement);
 
 /// Estimated Monte Carlo draw volume of `statement` against `db`'s
 /// current catalogue: (row counts of the tables named after FROM) x
 /// (per-row draws implied by `options` — fixed_samples when pinned,
 /// else the adaptive floor min_samples). Returns 0 for statements that
-/// cannot sample. The server's admission gate weights statements by
+/// cannot sample (StatementMaySample false), from one tokenization. The
+/// server's admission gate admits exactly the nonzero ones, weighted by
 /// this so one table-sweep Analyze costs proportionally more of the
 /// window than a single-row lookup.
 size_t EstimateSampleVolume(const Database& db, const std::string& statement,

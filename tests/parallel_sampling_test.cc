@@ -7,6 +7,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <thread>
 
 #include "src/common/row_parallel.h"
@@ -14,6 +16,7 @@
 #include "src/common/special_math.h"
 #include "src/common/thread_pool.h"
 #include "src/engine/database.h"
+#include "src/sampling/aggregates.h"
 #include "src/sql/session.h"
 
 namespace pip {
@@ -904,9 +907,101 @@ TEST_F(RowParallelTest, SerialRowLoopNeverReportsCancellation) {
 }
 
 // ---------------------------------------------------------------------------
-// The shared pilot/chain/budget chunk driver (Expectation and
-// SampleConditional collapse semantics stay unchanged)
+// The chunk driver (RunChunks): the piloted schedule's collapse semantics
+// and every loop's cancellation
 // ---------------------------------------------------------------------------
+
+TEST_F(ParallelEngineTest, EveryLoopHonoursCancelCheck) {
+  // All five Monte Carlo loops poll cancel_check through the shared
+  // driver: a hook that fires gives kCancelled, and one that never fires
+  // leaves every result bit unchanged.
+  VarRef x = db_.CreateVariable("Normal", {0.0, 1.0}).value();
+  VarRef y = db_.CreateVariable("Normal", {0.0, 1.0}).value();
+  VarRef u = db_.CreateVariable("Uniform", {0.0, 1.0}).value();
+  VarRef w = db_.CreateVariable("Uniform", {0.0, 1.0}).value();
+  std::vector<Condition> disjuncts;  // Over 6: the Monte Carlo path.
+  for (int k = 0; k < 8; ++k) {
+    disjuncts.emplace_back(Expr::Var(x) > Expr::Constant(0.25 * k));
+  }
+  Condition window;
+  window.AddAtom(Expr::Var(x) > Expr::Constant(0.25));
+  window.AddAtom(Expr::Var(x) < Expr::Constant(2.0));
+  CTable table(Schema({"v"}));
+  for (int i = 0; i < 5; ++i) {
+    VarRef v = db_.CreateVariable("Normal", {1.0 * i, 1.0}).value();
+    ASSERT_TRUE(
+        table.Append({Expr::Var(v)}, Condition(Expr::Var(v) > Expr::Var(u)))
+            .ok());
+  }
+
+  using Bits = StatusOr<std::vector<double>>;
+  struct Loop {
+    const char* name;
+    std::function<Bits(const SamplingEngine&)> run;
+  };
+  const std::vector<Loop> loops = {
+      {"Expectation",
+       [&](const SamplingEngine& e) -> Bits {
+         PIP_ASSIGN_OR_RETURN(
+             ExpectationResult r,
+             e.Expectation(Expr::Var(x), Condition(Expr::Var(x) > Expr::Var(y)),
+                           false));
+         return std::vector<double>{r.expectation, 1.0 * r.attempts};
+       }},
+      {"EstimateGroupProbability",
+       [&](const SamplingEngine& e) -> Bits {
+         PIP_ASSIGN_OR_RETURN(
+             ExpectationResult r,
+             e.Confidence(Condition(Expr::Var(u) + Expr::Var(w) <
+                                    Expr::Constant(1.0))));
+         return std::vector<double>{r.probability, 1.0 * r.attempts};
+       }},
+      {"JointConfidence",
+       [&](const SamplingEngine& e) -> Bits {
+         PIP_ASSIGN_OR_RETURN(double p, e.JointConfidence(disjuncts));
+         return std::vector<double>{p};
+       }},
+      {"SampleConditional",
+       [&](const SamplingEngine& e) -> Bits {
+         return e.SampleConditional(Expr::Var(x), window, 999);
+       }},
+      {"SampleWorlds",
+       [&](const SamplingEngine& e) -> Bits {
+         return AggregateEvaluator(&e).SampleWorlds(
+             table, "v", [](const std::vector<double>& vals) {
+               double s = 0.0;
+               for (double v : vals) s += v;
+               return s;
+             });
+       }},
+  };
+  auto same_bits = [](const std::vector<double>& a,
+                      const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  for (size_t threads : {1, 2, 8}) {
+    SamplingOptions opts = ThreadedOptions(threads);
+    opts.fixed_samples = 1000;
+    const SamplingEngine engine = db_.MakeEngine(opts);
+    for (const Loop& loop : loops) {
+      SCOPED_TRACE(std::string(loop.name) + " threads=" +
+                   std::to_string(threads));
+      Bits plain = loop.run(engine);
+      ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+      std::atomic<size_t> polls{0};
+      Bits quiet = loop.run(engine.WithCancelCheck([&polls] {
+        ++polls;
+        return false;
+      }));
+      ASSERT_TRUE(quiet.ok()) << quiet.status().ToString();
+      EXPECT_GT(polls.load(), 0u);
+      EXPECT_TRUE(same_bits(quiet.value(), plain.value()));
+      Bits cancelled = loop.run(engine.WithCancelCheck([] { return true; }));
+      EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
+    }
+  }
+}
 
 TEST_F(ParallelEngineTest, SampleConditionalTruncationBitIdentical) {
   // Effectively unsatisfiable two-variable condition with Metropolis
