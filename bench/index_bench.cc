@@ -1,14 +1,17 @@
 /// \file index_bench.cc
 /// \brief Expectation-index ablation: repeated per-row Analyze sweeps
-/// with the materialized index off, cold (miss + backfill), and warm
-/// (every row served from the index without sampling).
+/// with the materialized index off, cold (miss + backfill), warm (every
+/// row served from the index without sampling) at the default, 1 and 4
+/// threads, and after a one-row INSERT (old rows hit, the new row
+/// misses).
 ///
 /// The PesTrie-style contract under test: after bounded first-touch
-/// work, repeated queries answer in near-constant time, and the served
-/// answers are bit-identical to cold recomputation (hits are exact
-/// replays of the deterministic draw scheme, not approximations).
-/// Emits BENCH_index.json records via PIP_BENCH_JSON; CI asserts
-/// warm-hit latency <= 0.5x cold from the artifact.
+/// work, repeated queries answer in near-constant time, an append costs
+/// only its new rows, and the served answers are bit-identical to
+/// recomputation without the index (hits are exact replays of the
+/// deterministic draw scheme, not approximations). Emits BENCH_index.json
+/// records via PIP_BENCH_JSON; CI asserts warm-hit and post-append
+/// latency <= 0.5x cold from the artifact.
 
 #include <cstdio>
 #include <cstring>
@@ -51,13 +54,36 @@ std::vector<double> Analyze(pip::sql::Session* session) {
   return values;
 }
 
+void CheckSame(const std::vector<double>& got,
+               const std::vector<double>& want, const char* what) {
+  PIP_CHECK_MSG(got.size() == want.size() &&
+                    std::memcmp(got.data(), want.data(),
+                                want.size() * sizeof(double)) == 0,
+                what);
+}
+
+/// Mean wall time of `iters` warm sweeps at `threads` (0 = the default),
+/// each checked against `reference`.
+double WarmSweep(pip::sql::Session* session, size_t threads, size_t iters,
+                 const std::vector<double>& reference) {
+  Run(session, "SET num_threads = " + std::to_string(threads));
+  double wall = 0.0;
+  for (size_t i = 0; i < iters; ++i) {
+    pip::WallTimer timer;
+    std::vector<double> warm = Analyze(session);
+    wall += timer.Seconds();
+    CheckSame(warm, reference,
+              "warm index hits diverged from cold recomputation");
+  }
+  return wall / static_cast<double>(iters);
+}
+
 BenchRecord MakeRecord(const char* query, double wall, size_t rows,
-                       size_t samples, double value) {
+                       size_t samples, double value, size_t threads = 0) {
   BenchRecord r;
   r.bench = "index_repeated_analyze";
   r.query = query;
-  r.threads = static_cast<double>(
-      pip::ThreadPool::ResolveThreads(SamplingOptions{}.num_threads));
+  r.threads = static_cast<double>(pip::ThreadPool::ResolveThreads(threads));
   r.wall_seconds = wall;
   r.samples = static_cast<double>(samples);
   r.samples_per_sec =
@@ -97,27 +123,35 @@ int main() {
   std::vector<double> cold = Analyze(&session);
   const double wall_cold = cold_timer.Seconds();
 
-  // Warm: every row is a hit; no sampling at all.
-  double wall_warm = 0.0;
-  std::vector<double> warm;
-  for (size_t i = 0; i < warm_iters; ++i) {
-    pip::WallTimer warm_timer;
-    warm = Analyze(&session);
-    wall_warm += warm_timer.Seconds();
-  }
-  wall_warm /= static_cast<double>(warm_iters);
+  CheckSame(cold, reference,
+            "cold indexed sweep diverged from the no-index answer");
 
-  PIP_CHECK_MSG(cold.size() == reference.size() &&
-                    warm.size() == reference.size(),
-                "result shapes diverged across modes");
-  PIP_CHECK_MSG(std::memcmp(cold.data(), reference.data(),
-                            reference.size() * sizeof(double)) == 0,
-                "cold indexed sweep diverged from the no-index answer");
-  PIP_CHECK_MSG(std::memcmp(warm.data(), reference.data(),
-                            reference.size() * sizeof(double)) == 0,
-                "warm index hits diverged from cold recomputation");
+  // Warm: every row is a hit; no sampling at all. The index is probed on
+  // the calling thread, so 4 threads should cost what 1 does.
+  const double wall_warm = WarmSweep(&session, 0, warm_iters, reference);
+  const double wall_warm_1t = WarmSweep(&session, 1, warm_iters, reference);
+  const double wall_warm_4t = WarmSweep(&session, 4, warm_iters, reference);
+  Run(&session, "SET num_threads = 0");
+
+  // Post-append: a one-row INSERT, then the same sweep. The append keeps
+  // every entry, so the old rows hit and only the new row samples.
+  double wall_append = 0.0;
+  std::vector<double> appended;
+  for (size_t i = 0; i < warm_iters; ++i) {
+    pip::WallTimer append_timer;
+    Run(&session, "INSERT INTO parts VALUES (Normal(" +
+                      std::to_string(static_cast<double>(i % 11) + 2.0) +
+                      ", 3))");
+    appended = Analyze(&session);
+    wall_append += append_timer.Seconds();
+  }
+  wall_append /= static_cast<double>(warm_iters);
+  Run(&session, "SET index_enabled = 0");
+  CheckSame(appended, Analyze(&session),
+            "post-append sweep diverged from the no-index answer");
 
   const ExpectationIndex::Stats stats = db.result_index_stats();
+  PIP_CHECK_MSG(stats.invalidations == 0, "an append purged index entries");
   const double speedup = wall_warm > 0 ? wall_cold / wall_warm : 0.0;
   std::printf("=== Expectation index: %zu rows x %zu samples ===\n", rows,
               samples);
@@ -128,6 +162,10 @@ int main() {
               "warm_hit", wall_warm, speedup,
               static_cast<unsigned long long>(stats.hits), stats.entries,
               stats.bytes);
+  std::printf("%16s %12.6fs\n", "warm_hit_1t", wall_warm_1t);
+  std::printf("%16s %12.6fs\n", "warm_hit_4t", wall_warm_4t);
+  std::printf("%16s %12.6fs  (%.3fx cold)\n", "post_append", wall_append,
+              wall_cold > 0 ? wall_append / wall_cold : 0.0);
   PIP_CHECK_MSG(speedup >= 2.0,
                 "warm hits failed the 2x-over-cold throughput contract");
 
@@ -136,7 +174,14 @@ int main() {
       MakeRecord("no_index", wall_off, rows, samples, reference[0]));
   records.push_back(
       MakeRecord("cold_backfill", wall_cold, rows, samples, cold[0]));
-  records.push_back(MakeRecord("warm_hit", wall_warm, rows, samples, warm[0]));
+  records.push_back(
+      MakeRecord("warm_hit", wall_warm, rows, samples, reference[0]));
+  records.push_back(MakeRecord("warm_hit_1t", wall_warm_1t, rows, samples,
+                               reference[0], 1));
+  records.push_back(MakeRecord("warm_hit_4t", wall_warm_4t, rows, samples,
+                               reference[0], 4));
+  records.push_back(MakeRecord("post_append", wall_append, rows + 1, samples,
+                               appended[0]));
   BenchRecord bytes;
   bytes.bench = "index_footprint";
   bytes.query = "bytes";

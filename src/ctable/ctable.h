@@ -52,9 +52,10 @@ class CTable {
   // -- Provenance (expectation-index keying) ---------------------------
   // Catalogue identity of the snapshot these rows came from. table_id 0
   // means "not a catalogue table" (inline values, joins, unions, ...);
-  // the index skips such rows. The generation counts the table's writes:
-  // the Database bumps it on every AppendRows / MaterializeView, which
-  // invalidates exactly this table's index entries.
+  // the index skips such rows. The generation counts the table's
+  // replacements: the Database bumps it on every MaterializeView of an
+  // existing name, which purges exactly this table's index entries.
+  // Appends keep it, since they only add rows at the end.
   uint64_t table_id() const { return table_id_; }
   uint64_t generation() const { return generation_; }
   void SetProvenance(uint64_t table_id, uint64_t generation) {
@@ -63,7 +64,8 @@ class CTable {
   }
   /// Re-stamps every row's id with its (1-based) position. Positional
   /// ids are unique within one (table_id, generation), which is all the
-  /// index requires — a generation bump retires the whole id space.
+  /// index requires: an append gives its rows new ids and leaves the old
+  /// ones alone, and a generation bump retires the whole id space.
   void StampRowIds() {
     for (size_t i = 0; i < rows_.size(); ++i) rows_[i].row_id = i + 1;
   }

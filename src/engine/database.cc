@@ -6,17 +6,6 @@
 
 namespace pip {
 
-void Database::StampForPublishLocked(CTable* table, uint64_t table_id,
-                                     uint64_t generation) {
-  table->SetProvenance(table_id, generation);
-  table->StampRowIds();
-  // Advancing the generation purges exactly this table's stale index
-  // entries and makes racing backfills against older snapshots
-  // rejectable. Done before publication so no reader can hit a stale
-  // entry through the new snapshot.
-  result_index_->BeginGeneration(table_id, generation);
-}
-
 Status Database::RegisterTable(const std::string& name, Table table) {
   return RegisterCTable(name, CTable::FromTable(table));
 }
@@ -26,7 +15,8 @@ Status Database::RegisterCTable(const std::string& name, CTable table) {
   if (tables_.count(name)) {
     return Status::AlreadyExists("table '" + name + "' already exists");
   }
-  StampForPublishLocked(&table, next_table_id_++, 1);
+  table.SetProvenance(next_table_id_++, 1);
+  table.StampRowIds();
   tables_.emplace(name, std::make_shared<const CTable>(std::move(table)));
   return Status::OK();
 }
@@ -35,14 +25,19 @@ void Database::MaterializeView(const std::string& name, CTable table) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   auto it = tables_.find(name);
   if (it != tables_.end()) {
-    // Replacement keeps the table id (readers of old snapshots see the
-    // generation gap) and retires the previous generation's entries.
-    StampForPublishLocked(&table, it->second->table_id(),
-                          it->second->generation() + 1);
+    // Replacement keeps the table id and advances the generation: the
+    // same row ids now name other rows, so the index purges the table and
+    // refuses readers of older snapshots. Done before publication so no
+    // reader can hit a stale entry through the new snapshot.
+    const uint64_t generation = it->second->generation() + 1;
+    table.SetProvenance(it->second->table_id(), generation);
+    table.StampRowIds();
+    result_index_->ReplaceTable(table.table_id(), generation);
     it->second = std::make_shared<const CTable>(std::move(table));
     return;
   }
-  StampForPublishLocked(&table, next_table_id_++, 1);
+  table.SetProvenance(next_table_id_++, 1);
+  table.StampRowIds();
   tables_.emplace(name, std::make_shared<const CTable>(std::move(table)));
 }
 
@@ -54,12 +49,14 @@ Status Database::AppendRows(const std::string& name,
     if (it == tables_.end()) {
       return Status::NotFound("no table named '" + name + "'");
     }
+    // Rows only go on the end and ids are positions, so every existing
+    // (table id, row id) keeps naming the same row: the generation stays
+    // and the index keeps all of the table's entries.
     CTable updated = *it->second;
     for (CTableRow& row : rows) {
       PIP_RETURN_IF_ERROR(updated.Append(std::move(row)));
     }
-    StampForPublishLocked(&updated, it->second->table_id(),
-                          it->second->generation() + 1);
+    updated.StampRowIds();
     it->second = std::make_shared<const CTable>(std::move(updated));
   }
   // Knob-gated eager materialization under the database defaults,
@@ -79,7 +76,7 @@ Status Database::BuildIndex(const std::string& name,
   PIP_ASSIGN_OR_RETURN(std::shared_ptr<const CTable> snapshot,
                        GetTable(name));
   // Sampling runs outside the catalogue lock on the immutable snapshot;
-  // if a writer advances the table meanwhile, the index rejects the
+  // if a writer replaces the table meanwhile, the index rejects the
   // stale backfills by generation.
   return EagerBuildIndex(*snapshot, MakeEngine(options));
 }

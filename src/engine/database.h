@@ -81,13 +81,15 @@ class Database {
 
   /// Replaces a table if present, else registers it (view
   /// materialization: "intermediate query results or views may be
-  /// materialized", §III-A).
+  /// materialized", §III-A). A replacement advances the table's
+  /// generation and purges its expectation-index entries.
   void MaterializeView(const std::string& name, CTable table);
 
   /// Appends rows to an existing table atomically (the SQL INSERT path).
   /// The read-copy-update runs under the exclusive catalogue lock, so
   /// concurrent INSERTs into one table never lose rows; concurrent
-  /// readers keep their pre-insert snapshot.
+  /// readers keep their pre-insert snapshot. The generation stays and the
+  /// expectation index keeps every entry: appended rows get new ids.
   Status AppendRows(const std::string& name, std::vector<CTableRow> rows);
 
   /// Immutable snapshot of a table. The snapshot stays valid (and
@@ -129,13 +131,6 @@ class Database {
   }
 
  private:
-  /// Stamps catalogue provenance onto a table about to be published:
-  /// assigns/keeps its table id, sets the new generation, re-stamps row
-  /// ids, and purges the index's now-stale entries for that table. Must
-  /// run under the exclusive catalogue lock.
-  void StampForPublishLocked(CTable* table, uint64_t table_id,
-                             uint64_t generation);
-
   VariablePool pool_;
   SamplingOptions default_options_;
   std::shared_ptr<PlanCache> plan_cache_;

@@ -4,7 +4,6 @@
 #include <sstream>
 #include <unordered_map>
 
-#include "src/common/row_parallel.h"
 #include "src/sampling/index_ops.h"
 
 namespace pip {
@@ -256,15 +255,12 @@ StatusOr<Table> Analyze(const CTable& table, const SamplingEngine& engine,
     bool emit = true;
   };
   std::vector<RowSlot> slots(rows.size());
-  PIP_RETURN_IF_ERROR(ParallelRows(
-      rows.size(), engine.options().num_threads,
-      [&](size_t r, const RowBatchContext& ctx) -> Status {
+  PIP_RETURN_IF_ERROR(IndexedRows(
+      engine, rows.size(),
+      [&](size_t r, const SamplingEngine& row_engine) -> Status {
         const auto& row = rows[r];
-        RowSlot& slot = slots[r];
-        // Long row bodies bail at the next chunk barrier once an earlier
-        // row has failed (this row's slot is discarded either way).
-        const SamplingEngine row_engine =
-            engine.WithCancelCheck([ctx] { return ctx.Cancelled(); });
+        // A row stopped by a miss in the probe pass runs again.
+        RowSlot& slot = slots[r] = RowSlot{};
         // Catalogue provenance routes the engine calls through the
         // materialized expectation index: hits replay the exact cached
         // result, misses run the engine and backfill. Rows without
@@ -369,9 +365,9 @@ StatusOr<Table> AnalyzeJointConfidence(const CTable& table,
   // here). Probabilities land in per-group slots; rows fold in group
   // order, so the output matches the serial loop byte for byte.
   std::vector<double> probs(groups.size(), 0.0);
-  PIP_RETURN_IF_ERROR(ParallelRows(
-      groups.size(), engine.options().num_threads,
-      [&](size_t g, const RowBatchContext& ctx) -> Status {
+  PIP_RETURN_IF_ERROR(IndexedRows(
+      engine, groups.size(),
+      [&](size_t g, const SamplingEngine& group_engine) -> Status {
         for (const auto& cell : groups[g].exemplar->cells) {
           if (!cell->IsConstant()) {
             return Status::InvalidArgument(
@@ -381,8 +377,6 @@ StatusOr<Table> AnalyzeJointConfidence(const CTable& table,
         }
         RowProvenance prov{table.table_id(), table.generation(),
                            groups[g].exemplar->row_id};
-        const SamplingEngine group_engine =
-            engine.WithCancelCheck([ctx] { return ctx.Cancelled(); });
         PIP_ASSIGN_OR_RETURN(
             probs[g],
             IndexedJointConfidence(group_engine, prov, groups[g].disjuncts));

@@ -1,56 +1,64 @@
 #include "src/index/expectation_index.h"
 
+#include <functional>
+#include <iterator>
+
 #include "src/common/failpoints.h"
+#include "src/common/random.h"
 
 namespace pip {
 
-namespace {
+ExpectationIndex::Key::Key(uint64_t table_id, uint64_t row_id,
+                           std::string result)
+    : table_id(table_id),
+      row_id(row_id),
+      result(std::move(result)),
+      hash(static_cast<size_t>(
+          MixBits(table_id, row_id, std::hash<std::string>{}(this->result),
+                  0))) {}
 
-/// Full map key: provenance prefix + the sampling layer's result key.
-/// Generation is part of the key, so entries from different snapshots of
-/// one table can coexist briefly (until the purge) without aliasing.
-std::string FullKey(uint64_t table_id, uint64_t generation, uint64_t row_id,
-                    const std::string& result_key) {
-  std::string key;
-  key.reserve(result_key.size() + 40);
-  key += 'T';
-  key += std::to_string(table_id);
-  key += '.';
-  key += std::to_string(generation);
-  key += '.';
-  key += std::to_string(row_id);
-  key += '|';
-  key += result_key;
-  return key;
-}
-
-}  // namespace
-
-size_t ExpectationIndex::EntryBytes(const std::string& full_key,
-                                    const IndexedValue& value) const {
-  // The key is stored twice (map key + LRU list node) plus hash-map and
-  // list node overhead, approximated at 64 bytes.
-  size_t bytes = 2 * full_key.size() + sizeof(Entry) + 64;
-  if (value.summary != nullptr) bytes += value.summary->ByteSize();
+size_t ExpectationIndex::EntryBytes(const Entry& entry) {
+  // The key string plus list-node and hash-map-node overhead,
+  // approximated at 64 bytes.
+  size_t bytes = entry.key.result.size() + sizeof(Entry) + 64;
+  if (entry.value.summary != nullptr) bytes += entry.value.summary->ByteSize();
   return bytes;
 }
 
-std::optional<IndexedValue> ExpectationIndex::Lookup(
-    uint64_t table_id, uint64_t generation, uint64_t row_id,
-    const std::string& result_key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = map_.find(FullKey(table_id, generation, row_id, result_key));
-  if (it == map_.end()) {
-    ++stats_.misses;
-    return std::nullopt;
-  }
-  ++stats_.hits;
-  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-  return it->second.value;
+bool ExpectationIndex::StaleLocked(uint64_t table_id,
+                                   uint64_t generation) const {
+  if (replaced_generation_.empty()) return false;
+  auto it = replaced_generation_.find(table_id);
+  return it != replaced_generation_.end() && generation < it->second;
 }
 
-void ExpectationIndex::Insert(uint64_t table_id, uint64_t generation,
-                              uint64_t row_id, const std::string& result_key,
+std::optional<IndexedValue> ExpectationIndex::Lookup(const Key& key,
+                                                     uint64_t generation,
+                                                     bool count) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (StaleLocked(key.table_id, generation)) {
+    if (count) {
+      ++stats_.stale_rejects;
+      ++stats_.misses;
+    }
+    return std::nullopt;
+  }
+  auto it = map_.find(&key);
+  if (it == map_.end()) {
+    if (count) ++stats_.misses;
+    return std::nullopt;
+  }
+  if (count) ++stats_.hits;
+  lru_.splice(lru_.begin(), lru_, it->second);
+  return it->second->value;
+}
+
+void ExpectationIndex::CountHits(uint64_t hits) {
+  std::lock_guard<std::mutex> lock(mu_);
+  stats_.hits += hits;
+}
+
+void ExpectationIndex::Insert(Key key, uint64_t generation,
                               IndexedValue value) {
   std::lock_guard<std::mutex> lock(mu_);
   // Chaos site: allocation failure while materializing the entry. The
@@ -60,84 +68,61 @@ void ExpectationIndex::Insert(uint64_t table_id, uint64_t generation,
     ++stats_.insert_failures;
     return;
   }
-  auto gen_it = current_generation_.find(table_id);
-  if (gen_it != current_generation_.end() && generation < gen_it->second) {
-    // A writer advanced the table while this result was being computed
+  if (StaleLocked(key.table_id, generation)) {
+    // A writer replaced the table while this result was being computed
     // on the old snapshot; caching it would resurrect purged state.
     ++stats_.stale_rejects;
     return;
   }
-  if (gen_it == current_generation_.end() || generation > gen_it->second) {
-    current_generation_[table_id] = generation;
-  }
-  std::string full_key = FullKey(table_id, generation, row_id, result_key);
-  auto it = map_.find(full_key);
+  auto it = map_.find(&key);
   if (it != map_.end()) {
     // Concurrent backfills of one entry produce bit-identical replay
     // payloads, so replacing is safe; it also lets the eager builder
     // attach a summary to an entry the lazy path stored first.
-    bytes_ -= it->second.bytes;
-    it->second.bytes = EntryBytes(full_key, value);
-    it->second.value = std::move(value);
-    bytes_ += it->second.bytes;
-    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+    Entry& entry = *it->second;
+    bytes_ -= entry.bytes;
+    entry.value = std::move(value);
+    entry.bytes = EntryBytes(entry);
+    bytes_ += entry.bytes;
+    lru_.splice(lru_.begin(), lru_, it->second);
     EvictToBudgetLocked();
     return;
   }
-  Entry entry;
-  entry.table_id = table_id;
-  entry.generation = generation;
-  entry.bytes = EntryBytes(full_key, value);
-  entry.value = std::move(value);
-  lru_.push_front(full_key);
-  entry.lru_it = lru_.begin();
+  lru_.push_front(Entry{std::move(key), std::move(value), 0});
+  Entry& entry = lru_.front();
+  entry.bytes = EntryBytes(entry);
   bytes_ += entry.bytes;
-  table_keys_[table_id].insert(full_key);
-  map_.emplace(std::move(full_key), std::move(entry));
+  map_.emplace(&entry.key, lru_.begin());
   ++stats_.inserts;
   EvictToBudgetLocked();
 }
 
-void ExpectationIndex::BeginGeneration(uint64_t table_id,
-                                       uint64_t generation) {
+void ExpectationIndex::ReplaceTable(uint64_t table_id, uint64_t generation) {
   std::lock_guard<std::mutex> lock(mu_);
-  uint64_t& current = current_generation_[table_id];
+  uint64_t& current = replaced_generation_[table_id];
   if (generation > current) current = generation;
-  auto tk = table_keys_.find(table_id);
-  if (tk == table_keys_.end()) return;
-  // Purge exactly this table's out-of-date entries; other tables' and
-  // current-generation entries are untouched.
-  std::vector<std::string> doomed;
-  for (const std::string& key : tk->second) {
-    auto it = map_.find(key);
-    if (it != map_.end() && it->second.generation < current) {
-      doomed.push_back(key);
+  // Replacements are rare next to lookups, so a scan beats keeping a
+  // per-table key set on every insert.
+  for (auto it = lru_.begin(); it != lru_.end();) {
+    auto next = std::next(it);
+    if (it->key.table_id == table_id) {
+      EraseLocked(it);
+      ++stats_.invalidations;
     }
-  }
-  for (const std::string& key : doomed) {
-    EraseLocked(key);
-    ++stats_.invalidations;
+    it = next;
   }
 }
 
-void ExpectationIndex::EraseLocked(const std::string& full_key) {
-  auto it = map_.find(full_key);
-  if (it == map_.end()) return;
-  bytes_ -= it->second.bytes;
-  lru_.erase(it->second.lru_it);
-  auto tk = table_keys_.find(it->second.table_id);
-  if (tk != table_keys_.end()) {
-    tk->second.erase(full_key);
-    if (tk->second.empty()) table_keys_.erase(tk);
-  }
-  map_.erase(it);
+void ExpectationIndex::EraseLocked(LruList::iterator it) {
+  bytes_ -= it->bytes;
+  map_.erase(&it->key);
+  lru_.erase(it);
 }
 
 void ExpectationIndex::EvictToBudgetLocked() {
   if (memory_budget_ == 0) return;  // Unlimited.
   while (bytes_ > memory_budget_ && !lru_.empty()) {
-    std::string victim = lru_.back();
-    EraseLocked(victim);
+    EraseLocked(std::prev(lru_.end()));
     ++stats_.evictions;
   }
 }
@@ -166,7 +151,6 @@ void ExpectationIndex::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   map_.clear();
   lru_.clear();
-  table_keys_.clear();
   bytes_ = 0;
 }
 

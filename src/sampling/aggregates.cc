@@ -40,14 +40,12 @@ StatusOr<double> AggregateEvaluator::ExpectedSum(
   // aggregate is bit-identical to the serial row loop.
   const auto& rows = table.rows();
   std::vector<double> terms(rows.size(), 0.0);
-  PIP_RETURN_IF_ERROR(ParallelRows(
-      rows.size(), row_engine.options().num_threads,
-      [&](size_t r, const RowBatchContext& ctx) -> Status {
-        const SamplingEngine cancel_engine =
-            row_engine.WithCancelCheck([ctx] { return ctx.Cancelled(); });
+  PIP_RETURN_IF_ERROR(IndexedRows(
+      row_engine, rows.size(),
+      [&](size_t r, const SamplingEngine& engine) -> Status {
         PIP_ASSIGN_OR_RETURN(
             ExpectationResult res,
-            IndexedExpectation(cancel_engine, ProvenanceOf(table, r),
+            IndexedExpectation(engine, ProvenanceOf(table, r),
                                rows[r].cells[col], rows[r].condition,
                                /*compute_probability=*/true));
         if (!std::isnan(res.expectation) && res.probability > 0.0) {
@@ -66,14 +64,12 @@ StatusOr<double> AggregateEvaluator::ExpectedCount(const CTable& table) const {
   SamplingEngine row_engine = RowEngine(table.num_rows());
   const auto& rows = table.rows();
   std::vector<double> probs(rows.size(), 0.0);
-  PIP_RETURN_IF_ERROR(ParallelRows(
-      rows.size(), row_engine.options().num_threads,
-      [&](size_t r, const RowBatchContext& ctx) -> Status {
-        const SamplingEngine cancel_engine =
-            row_engine.WithCancelCheck([ctx] { return ctx.Cancelled(); });
+  PIP_RETURN_IF_ERROR(IndexedRows(
+      row_engine, rows.size(),
+      [&](size_t r, const SamplingEngine& engine) -> Status {
         PIP_ASSIGN_OR_RETURN(
             ExpectationResult res,
-            IndexedConfidence(cancel_engine, ProvenanceOf(table, r),
+            IndexedConfidence(engine, ProvenanceOf(table, r),
                               rows[r].condition));
         probs[r] = res.probability;
         return Status::OK();
@@ -97,14 +93,12 @@ StatusOr<double> AggregateEvaluator::ExpectedAvg(
     double prob = 0.0;
   };
   std::vector<RowTerm> terms(rows.size());
-  PIP_RETURN_IF_ERROR(ParallelRows(
-      rows.size(), row_engine.options().num_threads,
-      [&](size_t r, const RowBatchContext& ctx) -> Status {
-        const SamplingEngine cancel_engine =
-            row_engine.WithCancelCheck([ctx] { return ctx.Cancelled(); });
+  PIP_RETURN_IF_ERROR(IndexedRows(
+      row_engine, rows.size(),
+      [&](size_t r, const SamplingEngine& engine) -> Status {
         PIP_ASSIGN_OR_RETURN(
             ExpectationResult res,
-            IndexedExpectation(cancel_engine, ProvenanceOf(table, r),
+            IndexedExpectation(engine, ProvenanceOf(table, r),
                                rows[r].cells[col], rows[r].condition,
                                /*compute_probability=*/true));
         // Unsatisfiable (or collapsed) rows contribute to neither sum

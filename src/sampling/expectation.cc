@@ -178,13 +178,18 @@ struct HitCount {
     n += o.n;
     hits += o.hits;
   }
-  /// Adaptive stop: the normal-approximation half-width at confidence
-  /// `z` is within delta of the estimate (floored at 0.01).
+  /// Adaptive stop: the half-width at confidence `z` is within delta of
+  /// the estimate (floored at 0.01). The half-width is the normal
+  /// approximation's, but never below 3/n, the rule-of-three bound on a
+  /// rate with no hits (or no misses) in n draws: an estimate from a few
+  /// hits, or none, is not yet precise, however small its sample
+  /// variance.
   bool Converged(double z, const SamplingOptions& options) const {
     if (options.fixed_samples > 0 || n < options.min_samples) return false;
     const double p = rate();
-    const double half_width = z * std::sqrt(std::max(p * (1.0 - p), 1e-12) /
-                                            static_cast<double>(n));
+    const double count = static_cast<double>(n);
+    const double half_width =
+        std::max(z * std::sqrt(p * (1.0 - p) / count), 3.0 / count);
     return half_width <= options.delta * std::max(p, 0.01);
   }
 };
@@ -1360,9 +1365,12 @@ StatusOr<ExpectationResult> SamplingEngine::Expectation(
       if (fixed) return count >= static_cast<int64_t>(options_.fixed_samples);
       if (count >= static_cast<int64_t>(options_.max_samples)) return true;
       if (count < static_cast<int64_t>(options_.min_samples)) return false;
-      double mean = std::fabs(merged.mean());
+      // Relative precision, except that a mean near 0 is measured
+      // against the target's spread: delta * |mean| alone would never be
+      // met there, and every such call would draw max_samples.
+      double scale = std::max(std::fabs(merged.mean()), merged.stddev());
       double half_width = z * merged.standard_error();
-      return half_width <= options_.delta * std::max(mean, 1e-9);
+      return half_width <= options_.delta * std::max(scale, 1e-9);
     };
 
     // The fold runs in chunk order for pilot, chain and wave chunks

@@ -24,6 +24,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -36,8 +37,11 @@
 #include "src/expr/expr.h"
 #include "src/index/expectation_index.h"
 #include "src/sampling/plan_cache.h"
+#include "src/sampling/shape_key.h"
 
 namespace pip {
+
+struct IndexProbe;  // index_ops.h
 
 /// \brief Strategy knobs of the sampling operators.
 ///
@@ -175,9 +179,7 @@ class SamplingEngine {
  public:
   explicit SamplingEngine(const VariablePool* pool,
                           SamplingOptions options = {})
-      : pool_(pool),
-        options_(options),
-        plan_cache_(std::make_shared<PlanCache>()) {}
+      : SamplingEngine(pool, std::move(options), nullptr) {}
 
   /// Engine sharing an external plan cache (the Database hands every
   /// session's engine its process-lifetime cache, so concurrent server
@@ -185,13 +187,21 @@ class SamplingEngine {
   SamplingEngine(const VariablePool* pool, SamplingOptions options,
                  std::shared_ptr<PlanCache> plan_cache)
       : pool_(pool),
-        options_(options),
+        options_(std::move(options)),
+        options_fingerprint_(std::make_shared<const std::string>(
+            SamplingOptionsFingerprint(options_))),
         plan_cache_(plan_cache != nullptr ? std::move(plan_cache)
                                           : std::make_shared<PlanCache>()) {}
 
   const SamplingOptions& options() const { return options_; }
-  SamplingOptions* mutable_options() { return &options_; }
   const VariablePool& pool() const { return *pool_; }
+
+  /// SamplingOptionsFingerprint(options()), built once per options and
+  /// shared by copies that differ only in cancel_check: the expectation
+  /// index keys every per-row call on it.
+  const std::string& options_fingerprint() const {
+    return *options_fingerprint_;
+  }
 
   /// Copy of this engine with different options, sharing the pool, the
   /// plan cache, and the result index. This is how derived engines
@@ -210,17 +220,19 @@ class SamplingEngine {
   /// rows bail early after an earlier row's failure. Checks compose: a
   /// nested batch (grouped aggregate -> per-row loop) ORs its hook with
   /// the inherited one, so an outer cancellation reaches the innermost
-  /// sampling loops too.
+  /// sampling loops too. The copy keeps the options fingerprint, which
+  /// excludes cancel_check.
   SamplingEngine WithCancelCheck(std::function<bool()> cancel) const {
-    SamplingOptions opts = options_;
-    if (opts.cancel_check) {
-      auto outer = std::move(opts.cancel_check);
-      auto inner = std::move(cancel);
-      opts.cancel_check = [outer, inner] { return outer() || inner(); };
+    SamplingEngine copy = *this;
+    std::function<bool()>& check = copy.options_.cancel_check;
+    if (check) {
+      check = [outer = std::move(check), inner = std::move(cancel)] {
+        return outer() || inner();
+      };
     } else {
-      opts.cancel_check = std::move(cancel);
+      check = std::move(cancel);
     }
-    return WithOptions(std::move(opts));
+    return copy;
   }
 
   /// The shared materialized-result index, or nullptr when none is
@@ -231,6 +243,16 @@ class SamplingEngine {
   void set_result_index(std::shared_ptr<ExpectationIndex> index) {
     result_index_ = std::move(index);
   }
+
+  /// Copy of this engine for the probe pass of IndexedRows (index_ops.h):
+  /// its indexed calls answer hits and, on a miss, stop instead of
+  /// sampling. The core sampling paths never look at the probe.
+  SamplingEngine WithIndexProbe(IndexProbe* probe) const {
+    SamplingEngine copy = *this;
+    copy.index_probe_ = probe;
+    return copy;
+  }
+  IndexProbe* index_probe() const { return index_probe_; }
 
   /// Hit/miss counters of the shared plan-shape cache (copies of one
   /// engine share the cache, so Analyze-style row batches amortize
@@ -397,10 +419,12 @@ class SamplingEngine {
 
   const VariablePool* pool_;
   SamplingOptions options_;
+  std::shared_ptr<const std::string> options_fingerprint_;
   /// Shared (and internally synchronized) across engine copies.
   std::shared_ptr<PlanCache> plan_cache_;
   /// Shared materialized-result index; null when not attached.
   std::shared_ptr<ExpectationIndex> result_index_;
+  IndexProbe* index_probe_ = nullptr;
 };
 
 template <typename Outcome, typename Run, typename Fold, typename Plans>

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/common/row_parallel.h"
 #include "src/common/running_stats.h"
 #include "src/sampling/shape_key.h"
 
@@ -45,8 +44,52 @@ ExpectationResult ToExpectationResult(const IndexedValue& value) {
 
 /// True when the index applies to this call at all.
 bool IndexApplies(const SamplingEngine& engine, const RowProvenance& prov) {
-  return engine.result_index() != nullptr && engine.options().index_enabled &&
-         prov.valid();
+  return IndexProbeApplies(engine) && prov.valid();
+}
+
+/// The probe key of one call on `prov`'s row, built and hashed here,
+/// before the index's lock is taken.
+ExpectationIndex::Key ProbeKey(const SamplingEngine& engine,
+                               const RowProvenance& prov, char op_tag,
+                               const ExprPtr& expr,
+                               const std::vector<const Condition*>& conditions) {
+  return ExpectationIndex::Key(
+      prov.table_id, prov.row_id,
+      ExactResultKey(op_tag, expr, conditions, engine.pool(),
+                     engine.options_fingerprint()));
+}
+
+/// What an indexed call returns in a probe pass instead of sampling: the
+/// row is left to IndexedRows' second pass.
+Status ProbeMiss() { return Status::Cancelled("index miss"); }
+
+/// An engine call the index cannot serve; a probe pass leaves it to the
+/// second pass.
+template <typename Compute>
+auto Unindexed(const SamplingEngine& engine, const Compute& compute)
+    -> decltype(compute()) {
+  if (engine.index_probe() != nullptr) return ProbeMiss();
+  return compute();
+}
+
+/// Hit → cached replay; miss → `compute()` and backfill. In a probe pass
+/// a hit is left for IndexedRows to count, and a miss stops the row.
+template <typename Compute>
+StatusOr<ExpectationResult> ThroughIndex(const SamplingEngine& engine,
+                                         const RowProvenance& prov,
+                                         ExpectationIndex::Key key,
+                                         const Compute& compute) {
+  ExpectationIndex* index = engine.result_index();
+  IndexProbe* probe = engine.index_probe();
+  if (auto hit = index->Lookup(key, prov.generation,
+                               /*count=*/probe == nullptr)) {
+    if (probe != nullptr) ++probe->hits;
+    return ToExpectationResult(*hit);
+  }
+  if (probe != nullptr) return ProbeMiss();
+  PIP_ASSIGN_OR_RETURN(ExpectationResult result, compute());
+  index->Insert(std::move(key), prov.generation, ToIndexedValue(result));
+  return result;
 }
 
 /// Empirical summary of `samples` (sorted in place).
@@ -90,70 +133,53 @@ StatusOr<ExpectationResult> IndexedExpectation(const SamplingEngine& engine,
                                                const ExprPtr& expr,
                                                const Condition& condition,
                                                bool compute_probability) {
+  auto compute = [&] {
+    return engine.Expectation(expr, condition, compute_probability);
+  };
   // Deterministic calls short-circuit inside the engine faster than a
   // key could be built; don't pollute the index with them.
-  if (!IndexApplies(engine, prov) ||
-      (expr->IsDeterministic() && condition.IsDeterministic())) {
-    return engine.Expectation(expr, condition, compute_probability);
-  }
-  ExpectationIndex* index = engine.result_index();
-  std::string key = ExactResultKey(compute_probability ? 'P' : 'E', expr,
-                                   {&condition}, engine.pool(),
-                                   engine.options());
-  if (auto hit = index->Lookup(prov.table_id, prov.generation, prov.row_id,
-                               key)) {
-    return ToExpectationResult(*hit);
-  }
-  PIP_ASSIGN_OR_RETURN(ExpectationResult result,
-                       engine.Expectation(expr, condition,
-                                          compute_probability));
-  index->Insert(prov.table_id, prov.generation, prov.row_id, key,
-                ToIndexedValue(result));
-  return result;
+  if (expr->IsDeterministic() && condition.IsDeterministic()) return compute();
+  if (!IndexApplies(engine, prov)) return Unindexed(engine, compute);
+  return ThroughIndex(
+      engine, prov,
+      ProbeKey(engine, prov, compute_probability ? 'P' : 'E', expr,
+               {&condition}),
+      compute);
 }
 
 StatusOr<ExpectationResult> IndexedConfidence(const SamplingEngine& engine,
                                               const RowProvenance& prov,
                                               const Condition& condition) {
-  if (!IndexApplies(engine, prov) || condition.IsDeterministic()) {
-    return engine.Confidence(condition);
-  }
-  ExpectationIndex* index = engine.result_index();
-  std::string key = ExactResultKey('C', nullptr, {&condition}, engine.pool(),
-                                   engine.options());
-  if (auto hit = index->Lookup(prov.table_id, prov.generation, prov.row_id,
-                               key)) {
-    return ToExpectationResult(*hit);
-  }
-  PIP_ASSIGN_OR_RETURN(ExpectationResult result, engine.Confidence(condition));
-  index->Insert(prov.table_id, prov.generation, prov.row_id, key,
-                ToIndexedValue(result));
-  return result;
+  auto compute = [&] { return engine.Confidence(condition); };
+  if (condition.IsDeterministic()) return compute();
+  if (!IndexApplies(engine, prov)) return Unindexed(engine, compute);
+  return ThroughIndex(engine, prov,
+                      ProbeKey(engine, prov, 'C', nullptr, {&condition}),
+                      compute);
 }
 
 StatusOr<double> IndexedJointConfidence(
     const SamplingEngine& engine, const RowProvenance& prov,
     const std::vector<Condition>& disjuncts) {
   if (!IndexApplies(engine, prov)) {
-    return engine.JointConfidence(disjuncts);
+    return Unindexed(engine, [&] { return engine.JointConfidence(disjuncts); });
   }
-  ExpectationIndex* index = engine.result_index();
   std::vector<const Condition*> conditions;
   conditions.reserve(disjuncts.size());
   for (const Condition& c : disjuncts) conditions.push_back(&c);
-  std::string key = ExactResultKey('J', nullptr, conditions, engine.pool(),
-                                   engine.options());
-  if (auto hit = index->Lookup(prov.table_id, prov.generation, prov.row_id,
-                               key)) {
-    return hit->probability;
-  }
-  PIP_ASSIGN_OR_RETURN(double probability, engine.JointConfidence(disjuncts));
-  IndexedValue value;
-  value.expectation = probability;
-  value.probability = probability;
-  index->Insert(prov.table_id, prov.generation, prov.row_id, key,
-                std::move(value));
-  return probability;
+  PIP_ASSIGN_OR_RETURN(
+      ExpectationResult result,
+      ThroughIndex(engine, prov,
+                   ProbeKey(engine, prov, 'J', nullptr, conditions),
+                   [&]() -> StatusOr<ExpectationResult> {
+                     PIP_ASSIGN_OR_RETURN(double probability,
+                                          engine.JointConfidence(disjuncts));
+                     ExpectationResult joint;
+                     joint.expectation = probability;
+                     joint.probability = probability;
+                     return joint;
+                   }));
+  return result.probability;
 }
 
 Status EagerBuildIndex(const CTable& table, const SamplingEngine& engine) {
@@ -192,20 +218,20 @@ Status EagerBuildIndex(const CTable& table, const SamplingEngine& engine) {
           if (first && !cell->IsDeterministic()) {
             // Attach the moment/quantile/CDF summary to the first
             // probabilistic cell's 'P' entry: a bounded deterministic
-            // sample sweep of the conditional distribution.
-            PIP_ASSIGN_OR_RETURN(
-                std::vector<double> samples,
-                row_engine.SampleConditional(cell, row.condition,
-                                             kSummarySamples));
-            std::string key =
-                ExactResultKey('P', cell, {&row.condition}, engine.pool(),
-                               engine.options());
-            if (auto existing = index->Lookup(prov.table_id, prov.generation,
-                                              prov.row_id, key);
+            // sample sweep of the conditional distribution, drawn only
+            // for entries that lack one (rows built before an append
+            // keep theirs).
+            ExpectationIndex::Key key =
+                ProbeKey(engine, prov, 'P', cell, {&row.condition});
+            if (auto existing = index->Lookup(key, prov.generation);
                 existing && existing->summary == nullptr) {
+              PIP_ASSIGN_OR_RETURN(
+                  std::vector<double> samples,
+                  row_engine.SampleConditional(cell, row.condition,
+                                               kSummarySamples));
               IndexedValue updated = *existing;
               updated.summary = BuildSummary(std::move(samples));
-              index->Insert(prov.table_id, prov.generation, prov.row_id, key,
+              index->Insert(std::move(key), prov.generation,
                             std::move(updated));
             }
           }

@@ -207,17 +207,18 @@ std::string SamplingOptionsFingerprint(const SamplingOptions& options) {
 std::string ExactResultKey(char op_tag, const ExprPtr& expr,
                            const std::vector<const Condition*>& conditions,
                            const VariablePool& pool,
-                           const SamplingOptions& options) {
+                           const std::string& options_fingerprint) {
   KeyBuilder b;
   b.pool = &pool;
   b.exact = true;
+  b.out.reserve(options_fingerprint.size() + 256);
   b.out += op_tag;
   b.out += 'G';
   b.out += std::to_string(pool.registry().generation());
   b.out += "|S";
   AppendHex64(pool.seed(), &b.out);
   b.out += "|O";
-  b.out += SamplingOptionsFingerprint(options);
+  b.out += options_fingerprint;
   b.out += "|E:";
   if (expr != nullptr) b.AppendExpr(*expr);
   for (const Condition* condition : conditions) {

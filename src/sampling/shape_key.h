@@ -57,14 +57,16 @@ std::string SamplingOptionsFingerprint(const SamplingOptions& options);
 /// the operator ('E' expectation, 'P' expectation+probability,
 /// 'C' confidence, 'J' joint confidence); `expr` may be null for
 /// condition-only operators; `conditions` holds one conjunction
-/// (expectation/conf) or the ordered disjunct list (aconf). The key pins
-/// the registry generation, the pool seed, the options fingerprint, and
-/// the exact content of every expression and atom, so equal keys imply
+/// (expectation/conf) or the ordered disjunct list (aconf);
+/// `options_fingerprint` is SamplingOptionsFingerprint of the engine's
+/// options, which the engine builds once. The key pins the registry
+/// generation, the pool seed, the options fingerprint, and the exact
+/// content of every expression and atom, so equal keys imply
 /// bit-identical recomputation.
 std::string ExactResultKey(char op_tag, const ExprPtr& expr,
                            const std::vector<const Condition*>& conditions,
                            const VariablePool& pool,
-                           const SamplingOptions& options);
+                           const std::string& options_fingerprint);
 
 }  // namespace pip
 

@@ -407,5 +407,36 @@ TEST_F(ExpectationTest, ExpressionOverConditionedAndFreeVariables) {
   EXPECT_NEAR(r.expectation, ex * 1.0, 0.05);
 }
 
+TEST_F(ExpectationTest, RareGroupProbabilityIsNotStoppedAtZeroHits) {
+  // X - Y > 4 for iid N(0,1): P ~ 0.0023. The pilot switches the group to
+  // Metropolis, so the probability comes from the adaptive hit-count
+  // estimator, which must not stop on its first chunks with no hit in
+  // them and report exactly 0.
+  VarRef x = pool_.Create("Normal", {0.0, 1.0}).value();
+  VarRef y = pool_.Create("Normal", {0.0, 1.0}).value();
+  Condition c(Expr::Var(x) - Expr::Var(y) > Expr::Constant(4.0));
+  SamplingEngine engine(&pool_);
+  auto r =
+      engine.Expectation(Expr::Var(x) - Expr::Var(y), c, true).value();
+  const double exact = 1.0 - NormalCdf(4.0 / std::sqrt(2.0));
+  EXPECT_GT(r.probability, 0.0);
+  EXPECT_NEAR(r.probability, exact, 0.0006);
+}
+
+TEST_F(ExpectationTest, AdaptiveStopConvergesForMeanNearZero) {
+  // E[X * P | P > 3Y] = 0 with X independent of the condition: a purely
+  // relative target (delta * |mean|) is never met near 0, so the stop is
+  // measured against the target's spread instead.
+  VarRef x = pool_.Create("Normal", {0.0, 1.0}).value();
+  VarRef p = pool_.Create("Normal", {1.0, 1.0}).value();
+  VarRef y = pool_.Create("Normal", {0.0, 1.0}).value();
+  Condition c(Expr::Var(p) > Expr::Constant(3.0) * Expr::Var(y));
+  SamplingOptions opts;
+  SamplingEngine engine(&pool_, opts);
+  auto r = engine.Expectation(Expr::Var(x) * Expr::Var(p), c, false).value();
+  EXPECT_LT(r.samples_used, opts.max_samples);
+  EXPECT_NEAR(r.expectation, 0.0, 0.1);
+}
+
 }  // namespace
 }  // namespace pip

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstring>
 #include <thread>
 #include <vector>
 
 #include "src/engine/database.h"
+#include "src/sampling/aggregates.h"
+#include "src/sampling/index_ops.h"
 #include "src/sql/session.h"
 
 namespace pip {
@@ -15,6 +19,11 @@ namespace {
 // ---------------------------------------------------------------------------
 // ExpectationIndex unit tests (no sampling involved).
 // ---------------------------------------------------------------------------
+
+ExpectationIndex::Key K(uint64_t table_id, uint64_t row_id,
+                        const char* result) {
+  return ExpectationIndex::Key(table_id, row_id, result);
+}
 
 IndexedValue MakeValue(double expectation) {
   IndexedValue v;
@@ -26,9 +35,9 @@ IndexedValue MakeValue(double expectation) {
 
 TEST(ExpectationIndexTest, MissThenInsertThenHit) {
   ExpectationIndex index;
-  EXPECT_FALSE(index.Lookup(1, 1, 1, "k").has_value());
-  index.Insert(1, 1, 1, "k", MakeValue(3.5));
-  auto hit = index.Lookup(1, 1, 1, "k");
+  EXPECT_FALSE(index.Lookup(K(1, 1, "k"), 1).has_value());
+  index.Insert(K(1, 1, "k"), 1, MakeValue(3.5));
+  auto hit = index.Lookup(K(1, 1, "k"), 1);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->expectation, 3.5);
   ExpectationIndex::Stats stats = index.stats();
@@ -40,39 +49,53 @@ TEST(ExpectationIndexTest, MissThenInsertThenHit) {
 
 TEST(ExpectationIndexTest, KeysSeparateRowsAndTables) {
   ExpectationIndex index;
-  index.Insert(1, 1, 1, "k", MakeValue(1.0));
-  EXPECT_FALSE(index.Lookup(1, 1, 2, "k").has_value());   // Other row.
-  EXPECT_FALSE(index.Lookup(2, 1, 1, "k").has_value());   // Other table.
-  EXPECT_FALSE(index.Lookup(1, 1, 1, "k2").has_value());  // Other query.
+  index.Insert(K(1, 1, "k"), 1, MakeValue(1.0));
+  EXPECT_FALSE(index.Lookup(K(1, 2, "k"), 1).has_value());   // Other row.
+  EXPECT_FALSE(index.Lookup(K(2, 1, "k"), 1).has_value());   // Other table.
+  EXPECT_FALSE(index.Lookup(K(1, 1, "k2"), 1).has_value());  // Other query.
 }
 
-TEST(ExpectationIndexTest, GenerationBumpPurgesExactlyThatTable) {
+TEST(ExpectationIndexTest, ReplacePurgesExactlyThatTable) {
   ExpectationIndex index;
-  index.Insert(1, 1, 1, "k", MakeValue(1.0));
-  index.Insert(1, 1, 2, "k", MakeValue(2.0));
-  index.Insert(9, 1, 1, "k", MakeValue(9.0));
-  index.BeginGeneration(1, 2);
-  // Table 1's old-generation entries are gone; table 9 is untouched.
-  EXPECT_FALSE(index.Lookup(1, 1, 1, "k").has_value());
-  EXPECT_FALSE(index.Lookup(1, 1, 2, "k").has_value());
-  EXPECT_TRUE(index.Lookup(9, 1, 1, "k").has_value());
+  index.Insert(K(1, 1, "k"), 1, MakeValue(1.0));
+  index.Insert(K(1, 2, "k"), 1, MakeValue(2.0));
+  index.Insert(K(9, 1, "k"), 1, MakeValue(9.0));
+  index.ReplaceTable(1, 2);
+  // Table 1's entries are gone; table 9 is untouched.
+  EXPECT_FALSE(index.Lookup(K(1, 1, "k"), 2).has_value());
+  EXPECT_FALSE(index.Lookup(K(1, 2, "k"), 2).has_value());
+  EXPECT_TRUE(index.Lookup(K(9, 1, "k"), 1).has_value());
   EXPECT_EQ(index.stats().invalidations, 2u);
+  EXPECT_EQ(index.stats().entries, 1u);
 }
 
-TEST(ExpectationIndexTest, StaleBackfillRejected) {
+TEST(ExpectationIndexTest, SnapshotsOlderThanReplacementAreRefused) {
   ExpectationIndex index;
-  index.BeginGeneration(1, 3);
-  index.Insert(1, 2, 1, "k", MakeValue(1.0));  // Older snapshot's backfill.
-  EXPECT_FALSE(index.Lookup(1, 2, 1, "k").has_value());
+  index.ReplaceTable(1, 3);
+  index.Insert(K(1, 1, "k"), 2, MakeValue(1.0));  // Older snapshot's backfill.
+  EXPECT_EQ(index.stats().entries, 0u);
   EXPECT_EQ(index.stats().stale_rejects, 1u);
-  index.Insert(1, 3, 1, "k", MakeValue(2.0));  // Current generation lands.
-  EXPECT_TRUE(index.Lookup(1, 3, 1, "k").has_value());
+  index.Insert(K(1, 1, "k"), 3, MakeValue(2.0));  // Current generation lands.
+  EXPECT_TRUE(index.Lookup(K(1, 1, "k"), 3).has_value());
+  // A reader still holding the replaced snapshot never sees it: its row
+  // ids name other rows.
+  EXPECT_FALSE(index.Lookup(K(1, 1, "k"), 2).has_value());
+  EXPECT_EQ(index.stats().stale_rejects, 2u);
+}
+
+TEST(ExpectationIndexTest, KeyEqualityIsExactNotByHash) {
+  ExpectationIndex::Key a = K(1, 2, "k");
+  ExpectationIndex::Key b = a;
+  EXPECT_TRUE(a == b);
+  b.result = "k2";  // Same stored hash, different content.
+  EXPECT_FALSE(a == b);
+  EXPECT_NE(K(1, 2, "k").hash, K(2, 1, "k").hash);
 }
 
 TEST(ExpectationIndexTest, LruEvictionUnderTinyBudget) {
   ExpectationIndex index(/*memory_budget=*/1);  // Nothing fits twice over.
-  index.Insert(1, 1, 1, "k", MakeValue(1.0));
-  index.Insert(1, 1, 2, "k", MakeValue(2.0));
+  index.Insert(K(1, 1, "k"), 1, MakeValue(1.0));
+  index.Insert(K(1, 2, "k"), 1, MakeValue(2.0));
   ExpectationIndex::Stats stats = index.stats();
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_LE(stats.entries, 1u);
@@ -80,27 +103,27 @@ TEST(ExpectationIndexTest, LruEvictionUnderTinyBudget) {
 
 TEST(ExpectationIndexTest, LruKeepsRecentlyTouchedEntry) {
   ExpectationIndex index(/*memory_budget=*/0);  // Unlimited while filling.
-  index.Insert(1, 1, 1, "old", MakeValue(1.0));
-  index.Insert(1, 1, 2, "new", MakeValue(2.0));
+  index.Insert(K(1, 1, "old"), 1, MakeValue(1.0));
+  index.Insert(K(1, 2, "new"), 1, MakeValue(2.0));
   // Touch the older entry, then shrink so only one survives: the
   // untouched one must be the victim.
-  EXPECT_TRUE(index.Lookup(1, 1, 1, "old").has_value());
+  EXPECT_TRUE(index.Lookup(K(1, 1, "old"), 1).has_value());
   ExpectationIndex::Stats full = index.stats();
   index.SetMemoryBudget(full.bytes - 1);
-  EXPECT_TRUE(index.Lookup(1, 1, 1, "old").has_value());
-  EXPECT_FALSE(index.Lookup(1, 1, 2, "new").has_value());
+  EXPECT_TRUE(index.Lookup(K(1, 1, "old"), 1).has_value());
+  EXPECT_FALSE(index.Lookup(K(1, 2, "new"), 1).has_value());
 }
 
 TEST(ExpectationIndexTest, ReinsertAttachesSummaryAndKeepsOneEntry) {
   ExpectationIndex index;
-  index.Insert(1, 1, 1, "k", MakeValue(1.0));
+  index.Insert(K(1, 1, "k"), 1, MakeValue(1.0));
   IndexedValue with_summary = MakeValue(1.0);
   auto summary = std::make_shared<IndexSummary>();
   summary->moment_count = 10;
   summary->mean = 1.0;
   with_summary.summary = summary;
-  index.Insert(1, 1, 1, "k", with_summary);
-  auto hit = index.Lookup(1, 1, 1, "k");
+  index.Insert(K(1, 1, "k"), 1, with_summary);
+  auto hit = index.Lookup(K(1, 1, "k"), 1);
   ASSERT_TRUE(hit.has_value());
   ASSERT_NE(hit->summary, nullptr);
   EXPECT_EQ(hit->summary->moment_count, 10u);
@@ -178,28 +201,158 @@ TEST_F(IndexSqlTest, AggregatesShareIndexWithAnalyze) {
   EXPECT_EQ(after_warm.inserts, after_cold.inserts);  // Fully served.
 }
 
-TEST_F(IndexSqlTest, InsertInvalidatesExactlyTheWrittenTable) {
-  Run("CREATE TABLE m (tag, v)");
-  Run("CREATE TABLE other (tag, v)");
-  Run("INSERT INTO m VALUES ('a', Normal(10, 1))");
-  Run("INSERT INTO other VALUES ('x', Normal(5, 1))");
-  AnalyzeRow(&session_);  // Warm m's entries.
-  Run(&session_,
-      "SELECT tag, expectation(v) AS ev FROM other");  // Warm other's.
-  ExpectationIndex::Stats warm = db_.result_index_stats();
-  ASSERT_GT(warm.entries, 0u);
+/// Every numeric cell of `r`, row-major (non-numeric cells skipped).
+std::vector<double> Numbers(const sql::SqlResult& r) {
+  std::vector<double> out;
+  for (const Row& row : r.table.rows()) {
+    for (const Value& v : row) {
+      if (v.type() == ValueType::kDouble) out.push_back(v.double_value());
+    }
+  }
+  return out;
+}
 
-  Run("INSERT INTO m VALUES ('b', Normal(20, 1))");
-  ExpectationIndex::Stats after = db_.result_index_stats();
-  EXPECT_GT(after.invalidations, warm.invalidations);
-  // The untouched table's entries survive the write.
-  EXPECT_GT(after.entries, 0u);
+TEST_F(IndexSqlTest, InsertKeepsEntriesAndServesOldRows) {
+  Run("CREATE TABLE m (tag, v, w)");
+  Run("CREATE TABLE other (tag, v, w)");
+  Run("INSERT INTO m VALUES ('a', Normal(10, 1), Poisson(3)), "
+      "('b', Normal(20, 2), Poisson(4))");
+  Run("INSERT INTO other VALUES ('x', Normal(5, 1), Poisson(2))");
+  const std::string sweep = "SELECT tag, expectation(v * w) AS e FROM m";
+  const std::string sum = "SELECT expected_sum(v * w) AS s FROM m";
+  Run(sweep);
+  Run(sum);
+  Run("SELECT tag, expectation(v * w) AS e FROM other");
+  const ExpectationIndex::Stats warm = db_.result_index_stats();
+  ASSERT_EQ(warm.entries, 5u);  // m: 2 rows x (E, P); other: 1.
 
-  // Post-write answers are fresh (and the new row appears).
-  std::vector<double> fresh = AnalyzeRow(&session_);
-  EXPECT_EQ(fresh.size(), 4u);
-  EXPECT_NEAR(fresh[0], 10.0, 0.5);
-  EXPECT_NEAR(fresh[2], 20.0, 0.5);
+  // An append changes no existing row, so nothing is purged.
+  Run("INSERT INTO m VALUES ('c', Normal(30, 1), Poisson(5))");
+  const ExpectationIndex::Stats appended = db_.result_index_stats();
+  EXPECT_EQ(appended.invalidations, warm.invalidations);
+  EXPECT_EQ(appended.entries, warm.entries);
+
+  // In both statements the old rows hit, the new row misses and
+  // backfills.
+  sql::SqlResult served = Run(sweep);
+  sql::SqlResult served_sum = Run(sum);
+  const ExpectationIndex::Stats swept = db_.result_index_stats();
+  EXPECT_EQ(swept.hits - appended.hits, 4u);
+  EXPECT_EQ(swept.misses - appended.misses, 2u);
+  EXPECT_EQ(swept.inserts - appended.inserts, 2u);
+  EXPECT_EQ(swept.invalidations, warm.invalidations);
+
+  // Bit-identical to a session that never touches the index.
+  sql::Session off(&db_);
+  off.mutable_options()->fixed_samples = 500;
+  Run(&off, "SET index_enabled = 0");
+  EXPECT_EQ(Numbers(served), Numbers(Run(&off, sweep)));
+  EXPECT_EQ(Numbers(served_sum), Numbers(Run(&off, sum)));
+  EXPECT_EQ(Numbers(served).size(), 3u);
+}
+
+TEST_F(IndexSqlTest, ReplacePurgesTheTableAndRefusesItsOldSnapshot) {
+  Run("CREATE TABLE m (tag, v, w)");
+  Run("CREATE TABLE other (tag, v, w)");
+  Run("INSERT INTO m VALUES ('a', Normal(10, 1), Poisson(3)), "
+      "('b', Normal(20, 2), Poisson(4))");
+  Run("INSERT INTO other VALUES ('x', Normal(5, 1), Poisson(2))");
+  Run("SELECT tag, expectation(v * w) AS e FROM other");
+  const size_t other_entries = db_.result_index_stats().entries;
+  Run("SELECT tag, expectation(v * w) AS e FROM m");
+  const ExpectationIndex::Stats warm = db_.result_index_stats();
+  ASSERT_EQ(warm.entries, other_entries + 2);
+
+  std::shared_ptr<const CTable> old_snapshot = db_.GetTable("m").value();
+  db_.MaterializeView("m", *old_snapshot);
+  std::shared_ptr<const CTable> new_snapshot = db_.GetTable("m").value();
+  ASSERT_GT(new_snapshot->generation(), old_snapshot->generation());
+  const ExpectationIndex::Stats replaced = db_.result_index_stats();
+  EXPECT_EQ(replaced.invalidations - warm.invalidations, 2u);
+  EXPECT_EQ(replaced.entries, other_entries);  // Only m's entries went.
+
+  // A reader still on the replaced snapshot computes its own answer but
+  // neither hits nor backfills.
+  const SamplingEngine engine = db_.MakeEngine(*session_.mutable_options());
+  const CTableRow& row = old_snapshot->row(0);
+  const ExprPtr target = row.cells[1] * row.cells[2];
+  const ExpectationResult direct =
+      engine.Expectation(target, row.condition, true).value();
+  const ExpectationResult stale =
+      IndexedExpectation(engine, ProvenanceOf(*old_snapshot, 0), target,
+                         row.condition, true)
+          .value();
+  EXPECT_EQ(stale.expectation, direct.expectation);
+  const ExpectationIndex::Stats refused = db_.result_index_stats();
+  EXPECT_EQ(refused.stale_rejects - replaced.stale_rejects, 2u);
+  EXPECT_EQ(refused.entries, other_entries);
+
+  // The current snapshot backfills and then hits as usual.
+  for (int pass = 0; pass < 2; ++pass) {
+    const ExpectationResult fresh =
+        IndexedExpectation(engine, ProvenanceOf(*new_snapshot, 0), target,
+                           row.condition, true)
+            .value();
+    EXPECT_EQ(fresh.expectation, direct.expectation);
+  }
+  const ExpectationIndex::Stats current = db_.result_index_stats();
+  EXPECT_EQ(current.entries, other_entries + 1);
+  EXPECT_EQ(current.hits - refused.hits, 1u);
+}
+
+TEST_F(IndexSqlTest, ConcurrentAppendsKeepSweepsExact) {
+  // Two appenders and two whole-table sweepers: every indexed sweep must
+  // equal an index-off recomputation of the snapshot it swept.
+  Run("CREATE TABLE m (k, p)");
+  SamplingOptions options = *session_.mutable_options();
+  options.fixed_samples = 20;
+  options.num_threads = 2;
+  auto append = [this](int k) {
+    VarRef x = db_.CreateVariable("Normal", {1.0 + k % 7, 1.0}).value();
+    VarRef y = db_.CreateVariable("Poisson", {2.0 + k % 5}).value();
+    CTableRow row;
+    row.cells = {Expr::Constant(static_cast<double>(k)),
+                 Expr::Var(x) * Expr::Var(y)};
+    PIP_CHECK(db_.AppendRows("m", {row}).ok());
+  };
+  for (int k = 0; k < 16; ++k) append(k);
+
+  constexpr int kAppendsPerWriter = 100;
+  std::atomic<int> writers_left{2};
+  std::atomic<int> mismatches{0};
+  std::atomic<int> sweeps{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 2; ++w) {
+    threads.emplace_back([&, w] {
+      for (int i = 0; i < kAppendsPerWriter; ++i) append(1000 * (w + 1) + i);
+      writers_left.fetch_sub(1);
+    });
+  }
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&] {
+      SamplingOptions off_options = options;
+      off_options.index_enabled = false;
+      const SamplingEngine on = db_.MakeEngine(options);
+      const SamplingEngine off = db_.MakeEngine(off_options);
+      const AggregateEvaluator indexed(&on), plain(&off);
+      // At least one sweep after the last append.
+      for (bool last = false; !last;) {
+        last = writers_left.load() == 0;
+        std::shared_ptr<const CTable> snapshot = db_.GetTable("m").value();
+        const double served = indexed.ExpectedSum(*snapshot, "p").value();
+        const double fresh = plain.ExpectedSum(*snapshot, "p").value();
+        if (std::memcmp(&served, &fresh, sizeof(double)) != 0) ++mismatches;
+        ++sweeps;
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GE(sweeps.load(), 2);
+  EXPECT_EQ(db_.GetTable("m").value()->num_rows(), 16u + 2 * kAppendsPerWriter);
+  const ExpectationIndex::Stats stats = db_.result_index_stats();
+  EXPECT_EQ(stats.invalidations, 0u);
+  EXPECT_GT(stats.hits, 0u);
 }
 
 TEST_F(IndexSqlTest, TinyBudgetEvictsThroughSqlKnob) {
